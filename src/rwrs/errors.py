@@ -9,8 +9,7 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed in a way no parameter tweak can hide.
 
     Raised, for example, when a spectral embedding turns out not to be
-    positive semi-definite and no exact fallback is feasible at the
-    requested size.
+    positive semi-definite.
     """
 
 

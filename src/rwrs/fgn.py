@@ -7,11 +7,13 @@ Increments are stationary centered Gaussians with covariance
 so the walk S_n = X_1 + ... + X_n has Var(S_n) = n**(2H) exactly for
 every n; no asymptotic constant enters anywhere downstream.  Sampling
 uses the Davies-Harte circulant embedding (Davies & Harte 1987; Dieker
-2004): the covariance row is embedded in a circulant of order 2n whose
-FFT gives the spectral weights.  For this covariance the eigenvalues
-are nonnegative for all H in (0, 1); if rounding ever produces a
-negative one, a dense Cholesky factorization covers small n and larger
-n fail loudly.
+2004): the covariance row is embedded in a circulant of order 2N, where
+N >= n is the smallest 5-smooth length (2**a * 3**b * 5**c), and its FFT
+gives the spectral weights.  The embedding yields N stationary
+increments; the first n of them are kept, and a prefix of an exact
+stationary sample is itself exact (Wood & Chan 1994).  For this
+covariance the eigenvalues are nonnegative for all H in (0, 1); if
+rounding ever produces a negative one, sampling fails loudly.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 from .errors import NumericalError, UsageError
 
 __all__ = ["fgn_covariance", "sample_fgn", "sample_walk", "WalkPath", "sample_fbm", "FbmGrid"]
-
-# largest n for which an O(n**3) dense factorization is acceptable as a
-# rescue path for a failed embedding
-_DENSE_FALLBACK_MAX = 2048
 
 # relative slack for calling an embedding eigenvalue negative
 _EIG_TOL = 1e-9
@@ -46,11 +44,30 @@ def fgn_covariance(lag, hurst: float) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth integer 2**a * 3**b * 5**c that is at least n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    # try every odd part 3**b * 5**c below the best length so far, doubled
+    # up to n
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=8)
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """Eigenvalues of the order-2n circulant embedding, cached per (n, H)."""
-    row = fgn_covariance(np.arange(n + 1), hurst)
-    circ = np.concatenate([row, row[n - 1 : 0 : -1]])
+    """Eigenvalues of the order-2N circulant, N = _fast_length(n), cached per (n, H)."""
+    size = _fast_length(n)
+    row = fgn_covariance(np.arange(size + 1), hurst)
+    circ = np.concatenate([row, row[size - 1 : 0 : -1]])
     eig = np.fft.fft(circ).real
     eig.flags.writeable = False
     return eig
@@ -59,23 +76,17 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
 def _sample_fgn_spectral(n: int, eig: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # one complex weight per circulant frequency; conjugate symmetry
     # makes the inverse transform real (Dieker 2004, section 2.1.3)
-    order = 2 * n
+    order = len(eig)
+    size = order // 2
     scale = np.sqrt(np.maximum(eig, 0.0) / order)
-    g_re = rng.standard_normal(n)
-    g_im = rng.standard_normal(n)
+    g_re = rng.standard_normal(size)
+    g_im = rng.standard_normal(size)
     weights = np.empty(order, dtype=np.complex128)
     weights[0] = scale[0] * g_re[0]
-    weights[1:n] = scale[1:n] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
-    weights[n] = scale[n] * g_im[0]
-    weights[n + 1 :] = np.conj(weights[1:n][::-1])
+    weights[1:size] = scale[1:size] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
+    weights[size] = scale[size] * g_im[0]
+    weights[size + 1 :] = np.conj(weights[1:size][::-1])
     return np.fft.fft(weights)[:n].real
-
-
-def _sample_fgn_dense(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    lags = np.arange(n)
-    cov = fgn_covariance(np.abs(lags[:, None] - lags[None, :]), hurst)
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
 
 
 def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -87,12 +98,9 @@ def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(n)
     eig = _embedding_eigenvalues(n, hurst)
     if eig.min() < -_EIG_TOL * eig.max():
-        if n <= _DENSE_FALLBACK_MAX:
-            return _sample_fgn_dense(n, hurst, rng)
         raise NumericalError(
             f"circulant embedding not nonnegative for n={n}, hurst={hurst} "
-            f"(min eigenvalue {eig.min():.3e}); dense fallback limited to "
-            f"n <= {_DENSE_FALLBACK_MAX}"
+            f"(min eigenvalue {eig.min():.3e})"
         )
     return _sample_fgn_spectral(n, eig, rng)
 

@@ -150,7 +150,12 @@ def reward_series(
     """
     n = _check_horizon(path, n)
     sites = site_of(path.sums[: n + 1], convention)
-    unique, inverse = np.unique(sites, return_inverse=True)
+    # dense lookup over [lo, hi] instead of a sort; same output as np.unique
+    lo = sites.min()
+    offsets = sites - lo
+    present = np.bincount(offsets) > 0
+    unique = np.flatnonzero(present) + lo
+    inverse = (np.cumsum(present) - 1)[offsets]
     values = _scenery_values(scenery, unique)
     return RewardSeries(n=n, values=np.cumsum(values[inverse]))
 

@@ -126,22 +126,57 @@ def test_sample_fgn_white_noise_shortcut_is_gaussian():
     assert abs(draws.var(ddof=1) - 1.0) <= 4.0 * np.sqrt(2.0 / 4095.0)
 
 
-def test_sample_fgn_dense_path_matches_covariance():
-    # Force the dense fallback through the internal hook and verify the first
-    # two sample moments still line up (smoke-level, small n).
-    from rwrs import fgn as fgn_mod
+def test_fast_length_is_minimal_five_smooth():
+    from rwrs.fgn import _fast_length
 
-    replicates = 1500
-    n = 32
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 64, 720, 2048, 2160, 4096):
+        assert _fast_length(n) == n
+    assert _fast_length(2049) == 2160
+    assert _fast_length(4097) == 4320
+    assert _fast_length(683) == 720
+    assert _fast_length(7) == 8
+
+
+def _sample_fgn_order_2n(n, hurst, rng):
+    # the embedding of order exactly 2n, as built before padding to a
+    # 5-smooth length
+    row = fgn_covariance(np.arange(n + 1), hurst)
+    eig = np.fft.fft(np.concatenate([row, row[n - 1 : 0 : -1]])).real
+    scale = np.sqrt(np.maximum(eig, 0.0) / (2 * n))
+    g_re = rng.standard_normal(n)
+    g_im = rng.standard_normal(n)
+    weights = np.empty(2 * n, dtype=np.complex128)
+    weights[0] = scale[0] * g_re[0]
+    weights[1:n] = scale[1:n] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
+    weights[n] = scale[n] * g_im[0]
+    weights[n + 1 :] = np.conj(weights[1:n][::-1])
+    return np.fft.fft(weights)[:n].real
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_sample_fgn_five_smooth_length_matches_order_2n_embedding(n):
+    out = sample_fgn(n, 0.7, spawn_rng(16, n))
+    expected = _sample_fgn_order_2n(n, 0.7, spawn_rng(16, n))
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_sample_fgn_padded_prefix_lag_covariances():
+    # n = 2049 is padded to N = 2160; the kept prefix must still carry the
+    # exact fGn covariance at every lag and the exact Var(S_n).
     hurst = 0.7
+    n = 2049
+    replicates = 400
+    max_lag = 8
     draws = np.empty((replicates, n))
     for i in range(replicates):
-        rng = spawn_rng(16, i)
-        draws[i] = fgn_mod._sample_fgn_dense(n, hurst, rng)
-    cov = np.cov(draws.T, ddof=1)
-    lag1 = np.mean(np.diag(cov, 1))
-    assert abs(np.mean(np.diag(cov)) - 1.0) <= 0.06
-    assert abs(lag1 - fgn_covariance(1, hurst)) <= 0.06
+        draws[i] = sample_fgn(n, hurst, spawn_rng(25, i))
+    targets = fgn_covariance(np.arange(max_lag + 1), hurst)
+    for lag in range(max_lag + 1):
+        per_rep = (draws[:, : n - lag] * draws[:, lag:]).mean(axis=1)
+        se = per_rep.std(ddof=1) / np.sqrt(replicates)
+        assert abs(per_rep.mean() - targets[lag]) <= 4.0 * se
+    ratio = draws.sum(axis=1).var(ddof=1) / float(n) ** (2.0 * hurst)
+    assert abs(ratio - 1.0) <= 3.0 * np.sqrt(2.0 / (replicates - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +273,18 @@ def test_sample_fbm_finite_dimensional_law():
 
 
 def test_spectral_embedding_eigenvalues_are_nonnegative():
-    from rwrs.fgn import _embedding_eigenvalues
+    from rwrs.fgn import _embedding_eigenvalues, _fast_length
 
-    for hurst in (0.51, 0.6, 0.75, 0.9, 0.99):
-        eig = _embedding_eigenvalues(1024, hurst)
-        assert eig.min() >= -1e-9 * eig.max()
+    for n in (683, 1024, 2049, 4097):
+        for hurst in (0.1, 0.3, 0.45, 0.51, 0.6, 0.75, 0.9, 0.99):
+            eig = _embedding_eigenvalues(n, hurst)
+            assert eig.shape == (2 * _fast_length(n),)
+            assert eig.min() >= -1e-9 * eig.max()
 
 
 def test_dense_fallback_size_guard(monkeypatch):
     # The shipped covariance embeds cleanly for every H, so simulate a
-    # failed embedding and verify both branches of the rescue logic.
+    # failed embedding: there is no rescue path, even at small n.
     from rwrs import fgn as fgn_mod
 
     def broken_eigenvalues(n, hurst):
@@ -256,7 +293,5 @@ def test_dense_fallback_size_guard(monkeypatch):
         return eig
 
     monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
-    out = sample_fgn(64, 0.7, spawn_rng(24))
-    assert out.shape == (64,)  # dense rescue engaged silently
     with pytest.raises(NumericalError):
-        sample_fgn(fgn_mod._DENSE_FALLBACK_MAX + 1, 0.7, spawn_rng(24))
+        sample_fgn(64, 0.7, spawn_rng(24))
