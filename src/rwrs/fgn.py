@@ -73,20 +73,35 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return eig
 
 
-def _sample_fgn_spectral(n: int, eig: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _spectral_scale(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(max(eig, 0) / order) of the embedding, and its [1, N) slice over sqrt(2)."""
+    eig = _embedding_eigenvalues(n, hurst)
+    scale = np.sqrt(np.maximum(eig, 0.0) / len(eig))
+    half = scale[1 : len(eig) // 2] / np.sqrt(2.0)
+    scale.flags.writeable = False
+    half.flags.writeable = False
+    return scale, half
+
+
+def _sample_fgn_spectral(
+    n: int, scale: np.ndarray, half: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     # one complex weight per circulant frequency; conjugate symmetry
     # makes the inverse transform real (Dieker 2004, section 2.1.3)
-    order = len(eig)
+    order = len(scale)
     size = order // 2
-    scale = np.sqrt(np.maximum(eig, 0.0) / order)
-    g_re = rng.standard_normal(size)
-    g_im = rng.standard_normal(size)
+    # one draw of 2N normals is the same stream as two draws of N
+    g = rng.standard_normal(order)
+    g_re, g_im = g[:size], g[size:]
     weights = np.empty(order, dtype=np.complex128)
     weights[0] = scale[0] * g_re[0]
-    weights[1:size] = scale[1:size] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
+    weights[1:size] = half * (g_re[1:] + 1j * g_im[1:])
     weights[size] = scale[size] * g_im[0]
     weights[size + 1 :] = np.conj(weights[1:size][::-1])
-    return np.fft.fft(weights)[:n].real
+    # in place: a second array of the embedding's order per draw makes the
+    # heap grow and shrink on every draw, paid for in page faults
+    return np.fft.fft(weights, out=weights)[:n].real
 
 
 def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -102,7 +117,9 @@ def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
             f"circulant embedding not nonnegative for n={n}, hurst={hurst} "
             f"(min eigenvalue {eig.min():.3e})"
         )
-    return _sample_fgn_spectral(n, eig, rng)
+    # the eigenvalues are checked on every call, so the cached scale is
+    # never used for an embedding that fails the check
+    return _sample_fgn_spectral(n, *_spectral_scale(n, hurst), rng)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MissingSceneryError, UsageError
 from .fgn import WalkPath
 from .model import ModelParams
-from .stable import Scenery
+from .stable import Scenery, _keyed_values
 
 __all__ = [
     "site_of",
@@ -150,26 +150,65 @@ def reward_series(
     """
     n = _check_horizon(path, n)
     sites = site_of(path.sums[: n + 1], convention)
-    # dense lookup over [lo, hi] instead of a sort; same output as np.unique
-    lo = sites.min()
-    offsets = sites - lo
-    present = np.bincount(offsets) > 0
-    unique = np.flatnonzero(present) + lo
-    inverse = (np.cumsum(present) - 1)[offsets]
-    values = _scenery_values(scenery, unique)
-    return RewardSeries(n=n, values=np.cumsum(values[inverse]))
+    return RewardSeries(n=n, values=_reward_rows(sites[np.newaxis], [scenery])[0])
+
+
+def _reward_rows(sites: np.ndarray, sceneries: Sequence[SceneryLike]) -> np.ndarray:
+    """Cumulative rewards along each row of an int64 (rows, steps + 1) site array.
+
+    Row i collects ``sceneries[i]``.  Each row's site range is shifted
+    onto its own block of slots, so one ``bincount`` finds the visited
+    (row, site) pairs of all rows, ordered by row, then site.  The
+    rewards are written over ``sites``, which is returned reinterpreted.
+    When every scenery is keyed with one kind and law, all pairs are
+    hashed in one pass; otherwise each scenery is called once on its
+    row's visited sites.
+    """
+    lo = sites.min(axis=1)
+    hi = sites.max(axis=1) + 1
+    end = (hi - lo).cumsum()  # row i owns the slots [end[i] - (hi - lo)[i], end[i])
+    shift = hi - end
+    sites -= shift[:, np.newaxis]
+    slots = np.bincount(sites.ravel()).nonzero()[0]
+    first = sceneries[0]
+    if all(
+        isinstance(s, Scenery) and s.kind is first.kind and s.params == first.params
+        for s in sceneries
+    ):
+        rows = end.searchsorted(slots, side="right")
+        values = _keyed_values(sceneries, rows, slots + shift[rows])
+    else:
+        bounds = slots.searchsorted(end)
+        values = np.concatenate([
+            _scenery_values(scenery, slots[start:stop] + offset)
+            for scenery, start, stop, offset in zip(sceneries, [0, *bounds[:-1]], bounds, shift)
+        ])
+    # one value per slot; only visited slots are ever read back
+    dense = np.empty(end[-1], dtype=np.float64)
+    dense[slots] = values
+    # gather over the site array itself: output j overwrites only its own
+    # index j, and "clip" mode (a no-op here) writes without a buffer
+    rewards = sites.view(np.float64)
+    np.take(dense, sites, out=rewards, mode="clip")
+    return rewards.cumsum(axis=1, out=rewards)
 
 
 def interpolate(series: RewardSeries, s) -> np.ndarray:
-    """Linear time interpolation of the reward series at real s in [0, n]."""
+    """Linear time interpolation of the reward series at real s in [0, n].
+
+    ``series.values`` may also hold several series as rows; each row is
+    interpolated at every s.
+    """
     s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0.0) or np.any(s > series.n):
+    if (s < 0.0).any() or (s > series.n).any():
         raise UsageError(f"interpolation time outside [0, {series.n}]")
     j = np.floor(s).astype(np.int64)
     frac = s - j
     j_lo = np.minimum(j, max(series.n - 1, 0))
     z = series.values
-    out = np.where(frac == 0.0, z[j], z[j_lo] + frac * (z[np.minimum(j_lo + 1, series.n)] - z[j_lo]))
+    z_lo = z.take(j_lo, axis=-1)
+    z_hi = z.take(np.minimum(j_lo + 1, series.n), axis=-1)
+    out = np.where(frac == 0.0, z.take(j, axis=-1), z_lo + frac * (z_hi - z_lo))
     return out if out.shape else float(out)
 
 

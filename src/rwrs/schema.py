@@ -12,6 +12,12 @@ superposes ``copies`` independent copies under stable norming,
 
 which converges, as n then copies grow, to the local-time fractional
 stable motion the oracle in ``limit`` samples directly.
+
+Every copy draws its walk and its scenery key from its own substreams,
+the same ones it uses when drawn alone.  The rewards of all copies are
+then computed in one vectorised pass: one site count and one scenery
+hash over every copy, and a running sum along each copy.  The values
+are the same, byte for byte, as drawing the copies one at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +26,53 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .local_times import SITE_CEIL, SceneryLike, interpolate, reward_series
-from .fgn import sample_walk
+from .fgn import sample_fgn
+from .local_times import SITE_CEIL, RewardSeries, SceneryLike, _reward_rows, interpolate, site_of
 from .model import ModelParams, SchemaConfig
 from .stable import Scenery, SceneryKind, StableParams
 from .streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
 
 __all__ = ["sample_reward_process", "sample_reward_schema"]
+
+# walk positions held at once; copies beyond it are done in further blocks
+_BLOCK_POSITIONS = 1 << 20
+
+
+def _rescaled_rows(
+    config: SchemaConfig,
+    model: ModelParams,
+    seed: int,
+    copies: range,
+    kind: SceneryKind,
+    scenery_for_copy: Callable[[int], SceneryLike] | None,
+    convention: str,
+) -> np.ndarray:
+    """D_n at ``config.times`` for each copy index in ``copies``, one row per copy.
+
+    Each copy draws its walk from its own stream; the rewards of all
+    copies in a block are then collected in one pass.
+    """
+    n = config.n
+    steps = max(int(np.floor(n * config.times[-1] + 1e-9)) + 1, 1)
+    s = n * np.asarray(config.times)
+    params = StableParams(beta=model.beta, sigma=model.sigma)
+    rows = np.empty((len(copies), len(config.times)), dtype=np.float64)
+    sums = np.zeros(steps + 1, dtype=np.float64)
+    per_block = max(_BLOCK_POSITIONS // (steps + 1), 1)
+    for start in range(0, len(copies), per_block):
+        block = copies[start : start + per_block]
+        sites = np.empty((len(block), steps + 1), dtype=np.int64)
+        sceneries = []
+        for row, i in enumerate(block):
+            np.cumsum(sample_fgn(steps, model.hurst, spawn_rng(seed, i, ROLE_WALK)), out=sums[1:])
+            sites[row] = site_of(sums, convention)
+            if scenery_for_copy is None:
+                sceneries.append(Scenery(kind, params, stream_key(seed, i, ROLE_SCENERY)))
+            else:
+                sceneries.append(scenery_for_copy(i))
+        series = RewardSeries(n=steps, values=_reward_rows(sites, sceneries))
+        rows[start : start + len(block)] = interpolate(series, s)
+    return float(n) ** (-model.delta) * rows
 
 
 def sample_reward_process(
@@ -48,18 +94,9 @@ def sample_reward_process(
     deterministic rewards); the walk stream is unaffected.
     """
     config = SchemaConfig(n=n, copies=1, times=tuple(times))
-    t_max = config.times[-1]
-    steps = max(int(np.floor(n * t_max + 1e-9)) + 1, 1)
-    walk = sample_walk(steps, model.hurst, spawn_rng(seed, copy, ROLE_WALK))
-    if scenery is None:
-        scenery = Scenery(
-            kind=kind,
-            params=StableParams(beta=model.beta, sigma=model.sigma),
-            key=stream_key(seed, copy, ROLE_SCENERY),
-        )
-    series = reward_series(walk, scenery, convention=convention)
-    rescaled = interpolate(series, n * np.asarray(config.times))
-    return float(n) ** (-model.delta) * np.atleast_1d(rescaled)
+    injected = None if scenery is None else (lambda i: scenery)
+    rows = _rescaled_rows(config, model, seed, range(copy, copy + 1), kind, injected, convention)
+    return rows[0]
 
 
 def sample_reward_schema(
@@ -77,17 +114,5 @@ def sample_reward_schema(
     on the same seed.  ``scenery_for_copy`` optionally injects a
     scenery per copy index, for controlled experiments.
     """
-    rows = np.empty((config.copies, len(config.times)), dtype=np.float64)
-    for i in range(config.copies):
-        injected = None if scenery_for_copy is None else scenery_for_copy(i)
-        rows[i] = sample_reward_process(
-            config.n,
-            config.times,
-            model,
-            seed,
-            copy=i,
-            kind=kind,
-            scenery=injected,
-            convention=convention,
-        )
+    rows = _rescaled_rows(config, model, seed, range(config.copies), kind, scenery_for_copy, convention)
     return float(config.copies) ** (-1.0 / model.beta) * rows.sum(axis=0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -120,6 +121,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _LANE = 0xD1B54A32D192ED03
+_MASK64 = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -128,14 +130,39 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _site_uniform(key: int, sites: np.ndarray, lane: int) -> np.ndarray:
-    """Uniform on (0, 1), a pure function of (key, site, lane)."""
-    base = np.uint64((int(key) + lane * _LANE) & 0xFFFFFFFFFFFFFFFF)
-    z = base + sites * _GOLDEN
-    bits = _mix64(_mix64(z + _GOLDEN))
+# one offset per lane (1 and 2), with the finalizer's own golden step folded in
+_LANE_OFFSETS = np.array(
+    [(lane * _LANE + int(_GOLDEN)) & _MASK64 for lane in (1, 2)], dtype=np.uint64
+)
+
+
+def _site_uniforms(keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Uniforms on (0, 1) of lanes 1 and 2, stacked on a new leading axis.
+
+    Each is a pure function of (key, site, lane); the uint64 ``keys``
+    broadcast against the uint64 ``sites``.
+    """
+    bits = _mix64(_mix64(np.add.outer(_LANE_OFFSETS, sites * _GOLDEN + keys)))
     # take the top 53 bits; the half-step offset keeps the value in the
     # open interval so both log and power transforms are safe
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _keyed_values(sceneries: Sequence[Scenery], rows, sites: np.ndarray) -> np.ndarray:
+    """Values of keyed sceneries of one kind and law at (row, site) pairs.
+
+    Pair j takes ``sceneries[rows[j]]`` at the int64 site ``sites[j]``;
+    ``rows`` may also be one index shared by every site.
+    """
+    keys = np.array([int(s.key) & _MASK64 for s in sceneries], dtype=np.uint64)[rows]
+    u_main, u_aux = _site_uniforms(keys, sites.view(np.uint64))
+    kind, params = sceneries[0].kind, sceneries[0].params
+    if kind is SceneryKind.EXACT_STABLE:
+        angle = math.pi * (u_main - 0.5)
+        expo = -np.log(u_aux)
+        return params.sigma * _cms(angle, expo, params.beta)
+    magnitude = pareto_scale(params) * u_main ** (-1.0 / params.beta)
+    return np.where(u_aux < 0.5, -magnitude, magnitude)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,15 +182,7 @@ class Scenery:
             pareto_scale(self.params)  # rejects beta = 2 up front
 
     def values_at(self, sites) -> np.ndarray:
-        sites_u64 = np.ascontiguousarray(sites, dtype=np.int64).view(np.uint64)
-        u_main = _site_uniform(self.key, sites_u64, 1)
-        u_aux = _site_uniform(self.key, sites_u64, 2)
-        if self.kind is SceneryKind.EXACT_STABLE:
-            angle = math.pi * (u_main - 0.5)
-            expo = -np.log(u_aux)
-            return self.params.sigma * _cms(angle, expo, self.params.beta)
-        magnitude = pareto_scale(self.params) * u_main ** (-1.0 / self.params.beta)
-        return np.where(u_aux < 0.5, -magnitude, magnitude)
+        return _keyed_values([self], 0, np.ascontiguousarray(sites, dtype=np.int64))
 
     def __getitem__(self, site: int) -> float:
         return float(self.values_at(np.asarray([site]))[0])

@@ -160,6 +160,33 @@ def test_sample_fgn_five_smooth_length_matches_order_2n_embedding(n):
     assert out.tobytes() == expected.tobytes()
 
 
+def _sample_fgn_per_call_scale(n, hurst, rng):
+    # the spectral draw with its scale recomputed and two normal draws
+    from rwrs.fgn import _embedding_eigenvalues
+
+    eig = _embedding_eigenvalues(n, hurst)
+    order = len(eig)
+    size = order // 2
+    scale = np.sqrt(np.maximum(eig, 0.0) / order)
+    g_re = rng.standard_normal(size)
+    g_im = rng.standard_normal(size)
+    weights = np.empty(order, dtype=np.complex128)
+    weights[0] = scale[0] * g_re[0]
+    weights[1:size] = scale[1:size] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
+    weights[size] = scale[size] * g_im[0]
+    weights[size + 1 :] = np.conj(weights[1:size][::-1])
+    return np.fft.fft(weights)[:n].real
+
+
+@pytest.mark.parametrize("n", [64, 2049, 4096])
+def test_sample_fgn_cached_scale_matches_per_call_formula(n):
+    rng, reference_rng = spawn_rng(26, n), spawn_rng(26, n)
+    for _ in range(3):
+        out = sample_fgn(n, 0.7, rng)
+        expected = _sample_fgn_per_call_scale(n, 0.7, reference_rng)
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_sample_fgn_padded_prefix_lag_covariances():
     # n = 2049 is padded to N = 2160; the kept prefix must still carry the
     # exact fGn covariance at every lag and the exact Var(S_n).

@@ -19,7 +19,8 @@ from rwrs import (
     sample_reward_schema,
     sample_walk,
 )
-from rwrs.local_times import SITE_FLOOR
+from rwrs import schema as schema_mod
+from rwrs.local_times import SITE_CEIL, SITE_FLOOR
 from rwrs.streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
 
 
@@ -231,7 +232,7 @@ def test_schema_matches_manual_superposition():
         [sample_reward_process(40, (0.5, 1.0), model, seed=81, copy=i) for i in range(5)]
     )
     expect = 5.0 ** (-1.0 / 1.5) * rows.sum(axis=0)
-    np.testing.assert_allclose(schema, expect, rtol=1e-15)
+    np.testing.assert_array_equal(schema, expect)
 
 
 def test_schema_deterministic_in_seed():
@@ -248,3 +249,67 @@ def test_schema_output_shape_matches_times():
     model = ModelParams(hurst=0.5, beta=2.0)
     config = SchemaConfig(n=16, copies=2, times=(0.1, 0.4, 0.9, 1.0))
     assert sample_reward_schema(config, model, seed=84).shape == (4,)
+
+
+def _per_copy_schema(config, model, seed, kind, convention, scenery_for_copy=None):
+    # the schema composed one copy at a time from the public pieces
+    steps = int(np.floor(config.n * config.times[-1] + 1e-9)) + 1
+    s = config.n * np.asarray(config.times)
+    rows = []
+    for i in range(config.copies):
+        walk = sample_walk(steps, model.hurst, spawn_rng(seed, i, ROLE_WALK))
+        if scenery_for_copy is None:
+            scenery = Scenery(
+                kind=kind,
+                params=StableParams(beta=model.beta, sigma=model.sigma),
+                key=stream_key(seed, i, ROLE_SCENERY),
+            )
+        else:
+            scenery = scenery_for_copy(i)
+        series = reward_series(walk, scenery, convention=convention)
+        rows.append(float(config.n) ** (-model.delta) * np.atleast_1d(interpolate(series, s)))
+    return float(config.copies) ** (-1.0 / model.beta) * np.stack(rows).sum(axis=0)
+
+
+@pytest.mark.parametrize("copies", [1, 3, 32])
+@pytest.mark.parametrize("convention", [SITE_CEIL, SITE_FLOOR])
+@pytest.mark.parametrize("kind", list(SceneryKind))
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+def test_schema_matches_per_copy_composition_bytes(hurst, kind, convention, copies):
+    # all copies share one reward pass; it must reproduce the copy-at-a-time
+    # composition byte for byte, at lattice times (0 and 1) and between them
+    model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
+    config = SchemaConfig(n=160, copies=copies, times=(0.0, 0.3, 1.0))
+    seed = 85 + copies
+    got = sample_reward_schema(config, model, seed, kind=kind, convention=convention)
+    expect = _per_copy_schema(config, model, seed, kind, convention)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_schema_blocks_do_not_change_bytes(monkeypatch):
+    model = ModelParams(hurst=0.7, beta=2.0)
+    config = SchemaConfig(n=200, copies=32, times=(0.0, 0.515, 1.0))
+    whole = sample_reward_schema(config, model, seed=86)
+    # 201 steps, so 202 walk positions per copy: blocks of 3 copies, the last of 2
+    monkeypatch.setattr(schema_mod, "_BLOCK_POSITIONS", 3 * 202)
+    blocked = sample_reward_schema(config, model, seed=86)
+    expect = _per_copy_schema(config, model, 86, SceneryKind.EXACT_STABLE, SITE_CEIL)
+    assert blocked.tobytes() == whole.tobytes() == expect.tobytes()
+
+
+def test_schema_mixed_injected_sceneries_match_per_copy_composition():
+    # keyed sceneries of different laws and plain callables force every
+    # copy onto its own scenery lookup
+    model = ModelParams(hurst=0.6, beta=1.5)
+    config = SchemaConfig(n=96, copies=5, times=(0.25, 1.0))
+    params = StableParams(beta=1.5)
+
+    def scenery_for_copy(i):
+        if i % 2:
+            return lambda sites: np.sin(sites + i)
+        kind = SceneryKind.EXACT_STABLE if i % 4 else SceneryKind.SYMMETRIC_PARETO
+        return Scenery(kind, params, key=1000 + i)
+
+    got = sample_reward_schema(config, model, seed=87, scenery_for_copy=scenery_for_copy)
+    expect = _per_copy_schema(config, model, 87, None, SITE_CEIL, scenery_for_copy)
+    assert got.tobytes() == expect.tobytes()

@@ -13,6 +13,7 @@ from rwrs.stable import (
     sample_stable,
     theoretical_cf,
 )
+from rwrs import stable as stable_mod
 from rwrs.stats import cf_compare, ecf
 from rwrs.streams import spawn_rng
 
@@ -134,6 +135,38 @@ def test_sample_scenery_matches_lazy_field():
     assert set(mapping) == {-1, 3, 8}
     for site, value in mapping.items():
         assert value == scenery[site]
+
+
+@pytest.mark.parametrize("kind", list(SceneryKind))
+def test_keyed_values_over_key_array_match_values_at(kind):
+    # one hashed pass over (row, site) pairs of several keys, keys wrapping
+    # modulo 2**64, gives each key's values_at byte for byte
+    p = StableParams(beta=1.3, sigma=0.8)
+    keys = [2**64 - 1, 2**64 - 2, 0, 12345, 2**63]
+    sceneries = [Scenery(kind, p, key=k) for k in keys]
+    sites = np.arange(-40, 41, dtype=np.int64)
+    rows = np.repeat(np.arange(len(keys)), sites.size)
+    got = stable_mod._keyed_values(sceneries, rows, np.tile(sites, len(keys)))
+    expect = np.concatenate([s.values_at(sites) for s in sceneries])
+    assert got.tobytes() == expect.tobytes()
+    # a key is taken modulo 2**64
+    assert Scenery(kind, p, key=-1).values_at(sites).tobytes() == expect[: sites.size].tobytes()
+
+
+def test_site_uniforms_key_array_match_scalar_key_hash():
+    # the hash written per lane with a Python-int key, as a per-key reference
+    sites = np.arange(-40, 41, dtype=np.int64).view(np.uint64)
+    keys = [2**64 - 1, 2**64 - 3, 7]
+    got = stable_mod._site_uniforms(
+        np.repeat(np.asarray(keys, dtype=np.uint64), sites.size), np.tile(sites, len(keys))
+    )
+    for lane in (1, 2):
+        for i, key in enumerate(keys):
+            base = np.uint64((key + lane * stable_mod._LANE) & (2**64 - 1))
+            z = base + sites * stable_mod._GOLDEN
+            bits = stable_mod._mix64(stable_mod._mix64(z + stable_mod._GOLDEN))
+            expect = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            assert got[lane - 1, i * sites.size : (i + 1) * sites.size].tobytes() == expect.tobytes()
 
 
 def test_pareto_rejects_beta_two():
