@@ -9,11 +9,15 @@ every n; no asymptotic constant enters anywhere downstream.  Sampling
 uses the Davies-Harte circulant embedding (Davies & Harte 1987; Dieker
 2004): the covariance row is embedded in a circulant of order 2N, where
 N >= n is the smallest 5-smooth length (2**a * 3**b * 5**c), and its FFT
-gives the spectral weights.  The embedding yields N stationary
+gives the spectral weights.  The random weights are conjugate symmetric,
+so only the N + 1 non-redundant ones are built and one real inverse FFT
+of order 2N transforms them.  The embedding yields N stationary
 increments; the first n of them are kept, and a prefix of an exact
 stationary sample is itself exact (Wood & Chan 1994).  For this
 covariance the eigenvalues are nonnegative for all H in (0, 1); if
-rounding ever produces a negative one, sampling fails loudly.
+rounding ever produces a negative one, sampling fails loudly.  The check
+runs once per (n, H) and its verdict is cached with the eigenvalues it
+checked.
 """
 
 from __future__ import annotations
@@ -73,10 +77,13 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return eig
 
 
-@functools.lru_cache(maxsize=8)
-def _spectral_scale(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(max(eig, 0) / order) of the embedding, and its [1, N) slice over sqrt(2)."""
-    eig = _embedding_eigenvalues(n, hurst)
+def _spectral_scale(eig: np.ndarray, n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(max(eig, 0) / order) of a nonnegative embedding, and its [1, N) slice over sqrt(2)."""
+    if eig.min() < -_EIG_TOL * eig.max():
+        raise NumericalError(
+            f"circulant embedding not nonnegative for n={n}, hurst={hurst} "
+            f"(min eigenvalue {eig.min():.3e})"
+        )
     scale = np.sqrt(np.maximum(eig, 0.0) / len(eig))
     half = scale[1 : len(eig) // 2] / np.sqrt(2.0)
     scale.flags.writeable = False
@@ -84,24 +91,36 @@ def _spectral_scale(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
     return scale, half
 
 
+@functools.lru_cache(maxsize=8)
+def _checked_spectrum(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The embedding's eigenvalues, which passed the check, and the scales derived from them."""
+    eig = _embedding_eigenvalues(n, hurst)
+    return (eig, *_spectral_scale(eig, n, hurst))
+
+
 def _sample_fgn_spectral(
     n: int, scale: np.ndarray, half: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    # one complex weight per circulant frequency; conjugate symmetry
-    # makes the inverse transform real (Dieker 2004, section 2.1.3)
+    # one complex weight per circulant frequency; the weights are
+    # conjugate symmetric, so their transform is real (Dieker 2004,
+    # section 2.1.3) and the half up to N determines it
     order = len(scale)
     size = order // 2
     # one draw of 2N normals is the same stream as two draws of N
     g = rng.standard_normal(order)
     g_re, g_im = g[:size], g[size:]
-    weights = np.empty(order, dtype=np.complex128)
+    # the half-spectrum is stored conjugated: the unscaled inverse real FFT
+    # of the conjugated half is the forward FFT of the whole weight vector
+    # (np.fft.hfft, without the conjugated copy it makes).  Parts are
+    # written in place: temporaries of the embedding's size cost time and
+    # make the heap grow and shrink on every draw
+    weights = np.empty(size + 1, dtype=np.complex128)
     weights[0] = scale[0] * g_re[0]
-    weights[1:size] = half * (g_re[1:] + 1j * g_im[1:])
+    np.multiply(half, g_re[1:], out=weights.real[1:size])
+    np.multiply(half, g_im[1:], out=weights.imag[1:size])
+    np.negative(weights.imag[1:size], out=weights.imag[1:size])
     weights[size] = scale[size] * g_im[0]
-    weights[size + 1 :] = np.conj(weights[1:size][::-1])
-    # in place: a second array of the embedding's order per draw makes the
-    # heap grow and shrink on every draw, paid for in page faults
-    return np.fft.fft(weights, out=weights)[:n].real
+    return np.fft.irfft(weights, order, norm="forward")[:n]
 
 
 def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -112,14 +131,12 @@ def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     if hurst == 0.5:
         return rng.standard_normal(n)
     eig = _embedding_eigenvalues(n, hurst)
-    if eig.min() < -_EIG_TOL * eig.max():
-        raise NumericalError(
-            f"circulant embedding not nonnegative for n={n}, hurst={hurst} "
-            f"(min eigenvalue {eig.min():.3e})"
-        )
-    # the eigenvalues are checked on every call, so the cached scale is
-    # never used for an embedding that fails the check
-    return _sample_fgn_spectral(n, *_spectral_scale(n, hurst), rng)
+    checked, scale, half = _checked_spectrum(n, hurst)
+    # the verdict is cached with the eigenvalues it checked: eigenvalues
+    # that are not those are checked afresh
+    if checked is not eig:
+        scale, half = _spectral_scale(eig, n, hurst)
+    return _sample_fgn_spectral(n, scale, half, rng)
 
 
 @dataclasses.dataclass(frozen=True)

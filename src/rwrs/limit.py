@@ -30,7 +30,7 @@ from .errors import UsageError
 from .fgn import FbmGrid, sample_fbm
 from .model import ModelParams
 from .stable import StableParams, sample_stable
-from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, replicate_map, spawn_rng
+from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, block_streams, replicate_map, spawn_rng
 
 __all__ = [
     "LocalTimeGrid",
@@ -242,7 +242,8 @@ def sample_stable_motion(
     times = tuple(float(t) for t in times)
     noise = StableParams(beta=model.beta, sigma=model.sigma)
     rows = np.empty((copies, len(times)), dtype=np.float64)
-    for i in range(copies):
-        path = sample_fbm(m, max(times), model.hurst, spawn_rng(seed, i, ROLE_WALK))
-        rows[i] = sample_local_time_integral(path, times, bins, noise, spawn_rng(seed, i, ROLE_NOISE))
+    (walks, noises), _ = block_streams(seed, range(copies), rngs=(ROLE_WALK, ROLE_NOISE))
+    for i, (walk, noise_rng) in enumerate(zip(walks, noises)):
+        path = sample_fbm(m, max(times), model.hurst, walk)
+        rows[i] = sample_local_time_integral(path, times, bins, noise, noise_rng)
     return float(copies) ** (-1.0 / model.beta) * rows.sum(axis=0)

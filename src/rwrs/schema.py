@@ -14,8 +14,9 @@ which converges, as n then copies grow, to the local-time fractional
 stable motion the oracle in ``limit`` samples directly.
 
 Every copy draws its walk and its scenery key from its own substreams,
-the same ones it uses when drawn alone.  The rewards of all copies are
-then computed in one vectorised pass: one site count and one scenery
+the same ones it uses when drawn alone; the substreams of a block of
+copies are derived together.  The rewards of all copies are then
+computed in one vectorised pass: one site count and one scenery
 hash over every copy, and a running sum along each copy.  The values
 are the same, byte for byte, as drawing the copies one at a time.
 """
@@ -30,7 +31,7 @@ from .fgn import sample_fgn
 from .local_times import SITE_CEIL, RewardSeries, SceneryLike, _reward_rows, interpolate, site_of
 from .model import ModelParams, SchemaConfig
 from .stable import Scenery, SceneryKind, StableParams
-from .streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
+from .streams import ROLE_SCENERY, ROLE_WALK, block_streams
 
 __all__ = ["sample_reward_process", "sample_reward_schema"]
 
@@ -49,8 +50,9 @@ def _rescaled_rows(
 ) -> np.ndarray:
     """D_n at ``config.times`` for each copy index in ``copies``, one row per copy.
 
-    Each copy draws its walk from its own stream; the rewards of all
-    copies in a block are then collected in one pass.
+    The streams of a block of copies are derived together, each copy
+    draws its walk from its own stream, and the rewards of all copies in
+    the block are then collected in one pass.
     """
     n = config.n
     steps = max(int(np.floor(n * config.times[-1] + 1e-9)) + 1, 1)
@@ -61,13 +63,14 @@ def _rescaled_rows(
     per_block = max(_BLOCK_POSITIONS // (steps + 1), 1)
     for start in range(0, len(copies), per_block):
         block = copies[start : start + per_block]
+        (walks,), (keys,) = block_streams(seed, block, rngs=(ROLE_WALK,), keys=(ROLE_SCENERY,))
         sites = np.empty((len(block), steps + 1), dtype=np.int64)
         sceneries = []
-        for row, i in enumerate(block):
-            np.cumsum(sample_fgn(steps, model.hurst, spawn_rng(seed, i, ROLE_WALK)), out=sums[1:])
+        for row, (i, walk, key) in enumerate(zip(block, walks, keys)):
+            np.cumsum(sample_fgn(steps, model.hurst, walk), out=sums[1:])
             sites[row] = site_of(sums, convention)
             if scenery_for_copy is None:
-                sceneries.append(Scenery(kind, params, stream_key(seed, i, ROLE_SCENERY)))
+                sceneries.append(Scenery(kind, params, key))
             else:
                 sceneries.append(scenery_for_copy(i))
         series = RewardSeries(n=steps, values=_reward_rows(sites, sceneries))

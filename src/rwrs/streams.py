@@ -7,14 +7,24 @@ streams, and nothing depends on call order or worker scheduling.  Monte
 Carlo drivers fan replicates out over a process pool and reassemble the
 per-replicate results by index, so outputs are byte-identical for any
 worker count.
+
+A stream is numpy's ``SeedSequence`` of the key's entropy words feeding
+a ``PCG64`` generator.  ``spawn_rng`` and ``stream_key`` derive one
+stream at a time through numpy.  ``block_streams`` derives the streams
+``(seed, i, role)`` of a whole block of indices at once: it runs
+``SeedSequence``'s pool mixing as uint32 arithmetic on one column per
+stream, with the data-independent hash constants precomputed, and gives
+the same generators and keys as numpy, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # role tags appended to stream keys so that the independent random
 # ingredients of one replicate never share a stream
@@ -23,21 +33,55 @@ ROLE_SCENERY = 1
 ROLE_NOISE = 2
 ROLE_ORACLE = 3
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+
+# numpy's SeedSequence: a pool of four 32-bit words, mixed with two
+# multiplicative hashes whose multipliers advance on every use, and an
+# output hash of its own
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# seed words per stream: PCG64 seeds from four 64-bit words, and the
+# first of them is the stream's key
+_SEED_WORDS = 4
+# below this many streams, numpy's one-at-a-time derivation is faster
+# than the fixed cost of the column arithmetic
+_BLOCK_MIN_STREAMS = 12
 
 T = TypeVar("T")
 
 
-def _entropy(seed: int, path: Sequence[int]) -> tuple[int, ...]:
+def _word64_array(values: Sequence[int]) -> np.ndarray:
+    """Each of ``values`` mod 2**64, as a uint64 array."""
+    return np.array([int(v) & _MASK64 for v in values], dtype=np.uint64)
+
+
+def _entropy(seed, path):
     # the leading length word makes the encoding injective: SeedSequence
     # zero-pads short entropy, so without it (seed, 0) and (seed,) would
-    # collide and a zero role tag would alias the untagged stream
-    return (len(path), *(int(v) & _MASK64 for v in (seed, *path)))
+    # collide and a zero role tag would alias the untagged stream.  Path
+    # entries may be uint64 arrays, one stream per element.
+    return (len(path), *(v if isinstance(v, np.ndarray) else int(v) & _MASK64 for v in (seed, *path)))
+
+
+def _seed_sequence(seed: int, path: Sequence[int]) -> np.random.SeedSequence:
+    # SeedSequence reads each entropy value as its 32-bit words, low word
+    # first, keeping the high word only when it is nonzero; handing it
+    # those words as one array skips its slower per-value conversion
+    words = []
+    for value in _entropy(seed, path):
+        words.append(value & _MASK32)
+        if value >> 32:
+            words.append(value >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream keyed by ``(seed, *path)``."""
-    return np.random.default_rng(np.random.SeedSequence(_entropy(seed, path)))
+    return np.random.default_rng(_seed_sequence(seed, path))
 
 
 def stream_key(seed: int, *path: int) -> int:
@@ -46,8 +90,148 @@ def stream_key(seed: int, *path: int) -> int:
     Useful when a sub-component wants a scalar seed of its own, e.g. a
     hashed scenery: the key namespaces all streams derived from it.
     """
-    state = np.random.SeedSequence(_entropy(seed, path)).generate_state(1, np.uint64)
+    state = _seed_sequence(seed, path).generate_state(1, np.uint64)
     return int(state[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**t`` mod 2**32 for t < count, as a uint32 column."""
+    out = np.empty((count, 1), dtype=np.uint32)
+    const = init
+    for t in range(count):
+        out[t] = const
+        const = const * mult & _MASK32
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, applied with the multiplier sequence
+    # consts[0], consts[1], ...: row r of the result used consts[r] and
+    # consts[r + 1]
+    rows = len(consts) - 1
+    out = values ^ consts[:rows]
+    out *= consts[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_sequence_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, uint32)`` for each column e of ``entropy``.
+
+    ``entropy`` is a (length, streams) uint32 array of assembled entropy
+    words; the result has shape (n_words, streams).
+    """
+    length, streams = entropy.shape
+    hash_a = _hash_constants(_INIT_A, _MULT_A, 1 + _POOL_SIZE * max(length, _POOL_SIZE))
+    # the pool starts as the hashed leading entropy words, zero-padded
+    pool = np.zeros((_POOL_SIZE, streams), dtype=np.uint32)
+    pool[: min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, hash_a[: _POOL_SIZE + 1])
+    t = _POOL_SIZE
+    # every pool word is mixed into every other: for one source word the
+    # three destinations are independent, so they are one row block
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a[t : t + _POOL_SIZE]))
+        t += _POOL_SIZE - 1
+    # entropy beyond the pool is mixed into every pool word
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashmix(entropy[src], hash_a[t : t + _POOL_SIZE + 1]))
+        t += _POOL_SIZE
+    # output words cycle through the pool
+    hash_b = _hash_constants(_INIT_B, _MULT_B, n_words + 1)
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], hash_b)
+
+
+def _block_seed_words(entropy: tuple, streams: int) -> np.ndarray:
+    """Seed words of ``streams`` streams, shape (streams, _SEED_WORDS), uint64.
+
+    Each entry of ``entropy`` is an int shared by every stream or a
+    uint64 array with one value per stream, as ``_entropy`` returns them.
+    """
+    values = np.empty((len(entropy), streams), dtype="<u8")
+    for row, value in zip(values, entropy):
+        row[...] = value
+    # each value's low and high 32-bit words; as in _seed_sequence, the
+    # high word counts only when it is nonzero, so the word layout depends
+    # on the values and streams are grouped by layout
+    halves = values.view("<u4").reshape(len(entropy), streams, 2)
+    wide = halves[:, :, 1] != 0
+    layout = (wide.astype(np.int64) << np.arange(len(entropy))[:, None]).sum(axis=0)
+    out = np.empty((streams, 2 * _SEED_WORDS), dtype="<u4")
+    for code in set(layout.tolist()):
+        chosen = layout == code
+        words = [
+            halves[j, chosen, high]
+            for j in range(len(entropy))
+            for high in (0, 1)
+            if not high or code >> j & 1
+        ]
+        out[chosen] = _seed_sequence_words(np.array(words, dtype=np.uint32), 2 * _SEED_WORDS).T
+    # pairs of 32-bit words make one 64-bit word, low word first
+    return out.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words derived ahead of time, handed to a bit generator as its seed sequence."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if np.dtype(dtype) != np.uint64 or n_words > len(self.words):
+            raise ValueError(f"only {len(self.words)} uint64 seed words are held")
+        return self.words[:n_words]
+
+
+def seeded_rng(words: np.ndarray) -> np.random.Generator:
+    """The generator of a stream whose ``SeedSequence`` gives these seed words.
+
+    ``words`` is what ``generate_state(4, np.uint64)`` returns for the
+    stream; numpy's ``PCG64`` seeds itself from them as it would from
+    the ``SeedSequence``.
+    """
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def block_streams(
+    seed: int, indices: Sequence[int], rngs: Sequence[int] = (), keys: Sequence[int] = ()
+) -> tuple[list[Iterable[np.random.Generator]], list[list[int]]]:
+    """Generators and keys of the streams ``(seed, i, role)`` for a block of indices.
+
+    Returns ``(generators, key_lists)``.  ``generators[r]`` yields
+    ``spawn_rng(seed, i, rngs[r])`` for each i in ``indices`` in turn,
+    each made when it is taken; ``key_lists[r]`` lists
+    ``stream_key(seed, i, keys[r])``.  The streams of a block are
+    derived in one vectorised pass; a block of only a few streams goes
+    through numpy one stream at a time.
+    """
+    roles = (*rngs, *keys)
+    count = len(indices)
+    if count * len(roles) < _BLOCK_MIN_STREAMS:
+        return (
+            [[spawn_rng(seed, i, role) for i in indices] for role in rngs],
+            [[stream_key(seed, i, role) for i in indices] for role in keys],
+        )
+    # one stream per (role, index) pair, role-major
+    index_column = np.tile(_word64_array(indices), len(roles))
+    role_column = np.repeat(_word64_array(roles), count)
+    entropy = _entropy(seed, (index_column, role_column))
+    words = _block_seed_words(entropy, count * len(roles)).reshape(len(roles), count, _SEED_WORDS)
+    # a stream's key is its first seed word
+    return (
+        [map(seeded_rng, words[r]) for r in range(len(rngs))],
+        [words[r, :, 0].tolist() for r in range(len(rngs), len(roles))],
+    )
 
 
 def replicate_map(fn: Callable[[int], T], count: int, jobs: int = 1) -> list[T]:

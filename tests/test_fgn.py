@@ -137,34 +137,24 @@ def test_fast_length_is_minimal_five_smooth():
     assert _fast_length(7) == 8
 
 
-def _sample_fgn_order_2n(n, hurst, rng):
-    # the embedding of order exactly 2n, as built before padding to a
-    # 5-smooth length
-    row = fgn_covariance(np.arange(n + 1), hurst)
-    eig = np.fft.fft(np.concatenate([row, row[n - 1 : 0 : -1]])).real
-    scale = np.sqrt(np.maximum(eig, 0.0) / (2 * n))
-    g_re = rng.standard_normal(n)
-    g_im = rng.standard_normal(n)
-    weights = np.empty(2 * n, dtype=np.complex128)
+def _half_spectrum_draw(eig, n, rng):
+    # the N + 1 non-redundant weights of the order-2N circulant, from two
+    # draws of N normals, through a Hermitian FFT
+    order = len(eig)
+    size = order // 2
+    scale = np.sqrt(np.maximum(eig, 0.0) / order)
+    g_re = rng.standard_normal(size)
+    g_im = rng.standard_normal(size)
+    weights = np.empty(size + 1, dtype=np.complex128)
     weights[0] = scale[0] * g_re[0]
-    weights[1:n] = scale[1:n] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
-    weights[n] = scale[n] * g_im[0]
-    weights[n + 1 :] = np.conj(weights[1:n][::-1])
-    return np.fft.fft(weights)[:n].real
+    weights[1:size] = scale[1:size] / np.sqrt(2.0) * (g_re[1:] + 1j * g_im[1:])
+    weights[size] = scale[size] * g_im[0]
+    return np.fft.hfft(weights, order)[:n]
 
 
-@pytest.mark.parametrize("n", [64, 4096])
-def test_sample_fgn_five_smooth_length_matches_order_2n_embedding(n):
-    out = sample_fgn(n, 0.7, spawn_rng(16, n))
-    expected = _sample_fgn_order_2n(n, 0.7, spawn_rng(16, n))
-    assert out.tobytes() == expected.tobytes()
-
-
-def _sample_fgn_per_call_scale(n, hurst, rng):
-    # the spectral draw with its scale recomputed and two normal draws
-    from rwrs.fgn import _embedding_eigenvalues
-
-    eig = _embedding_eigenvalues(n, hurst)
+def _complex_spectrum_draw(eig, n, rng):
+    # the full conjugate-symmetric weight vector through a complex FFT, as
+    # built before the half-spectrum transform
     order = len(eig)
     size = order // 2
     scale = np.sqrt(np.maximum(eig, 0.0) / order)
@@ -178,6 +168,28 @@ def _sample_fgn_per_call_scale(n, hurst, rng):
     return np.fft.fft(weights)[:n].real
 
 
+def _sample_fgn_order_2n(n, hurst, rng):
+    # the embedding of order exactly 2n, as built before padding to a
+    # 5-smooth length
+    row = fgn_covariance(np.arange(n + 1), hurst)
+    eig = np.fft.fft(np.concatenate([row, row[n - 1 : 0 : -1]])).real
+    return _half_spectrum_draw(eig, n, rng)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_sample_fgn_five_smooth_length_matches_order_2n_embedding(n):
+    out = sample_fgn(n, 0.7, spawn_rng(16, n))
+    expected = _sample_fgn_order_2n(n, 0.7, spawn_rng(16, n))
+    assert out.tobytes() == expected.tobytes()
+
+
+def _sample_fgn_per_call_scale(n, hurst, rng):
+    # the spectral draw with its scale recomputed and two normal draws
+    from rwrs.fgn import _embedding_eigenvalues
+
+    return _half_spectrum_draw(_embedding_eigenvalues(n, hurst), n, rng)
+
+
 @pytest.mark.parametrize("n", [64, 2049, 4096])
 def test_sample_fgn_cached_scale_matches_per_call_formula(n):
     rng, reference_rng = spawn_rng(26, n), spawn_rng(26, n)
@@ -185,6 +197,19 @@ def test_sample_fgn_cached_scale_matches_per_call_formula(n):
         out = sample_fgn(n, 0.7, rng)
         expected = _sample_fgn_per_call_scale(n, 0.7, reference_rng)
         assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+@pytest.mark.parametrize("n", [64, 2049, 4096])
+def test_sample_fgn_half_spectrum_matches_complex_construction(n, hurst):
+    # same normals, same weights: the two transforms differ only by rounding
+    from rwrs.fgn import _embedding_eigenvalues
+
+    rng, reference_rng = spawn_rng(27, n), spawn_rng(27, n)
+    for _ in range(3):
+        out = sample_fgn(n, hurst, rng)
+        expected = _complex_spectrum_draw(_embedding_eigenvalues(n, hurst), n, reference_rng)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_sample_fgn_padded_prefix_lag_covariances():
@@ -322,3 +347,20 @@ def test_dense_fallback_size_guard(monkeypatch):
     monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
     with pytest.raises(NumericalError):
         sample_fgn(64, 0.7, spawn_rng(24))
+
+
+def test_eigenvalue_check_verdict_is_not_reused_for_new_eigenvalues(monkeypatch):
+    # a passing check at (64, 0.7) is cached; eigenvalues patched in later
+    # are not the ones it checked, so they are checked afresh
+    from rwrs import fgn as fgn_mod
+
+    sample_fgn(64, 0.7, spawn_rng(28))
+
+    def broken_eigenvalues(n, hurst):
+        eig = np.ones(2 * n)
+        eig[-1] = -1.0
+        return eig
+
+    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
+    with pytest.raises(NumericalError):
+        sample_fgn(64, 0.7, spawn_rng(28))

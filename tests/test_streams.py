@@ -5,7 +5,25 @@ import functools
 import numpy as np
 import pytest
 
-from rwrs.streams import replicate_map, spawn_rng, stream_key
+from rwrs import streams
+from rwrs.streams import (
+    ROLE_NOISE,
+    ROLE_ORACLE,
+    ROLE_SCENERY,
+    ROLE_WALK,
+    _block_seed_words,
+    _entropy,
+    _word64_array,
+    block_streams,
+    replicate_map,
+    spawn_rng,
+    stream_key,
+)
+
+ROLES = (ROLE_WALK, ROLE_SCENERY, ROLE_NOISE, ROLE_ORACLE)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -3)
+# one entropy word below 2**32, two from there on
+INDEX_BLOCKS = ((0,), (0, 1, 2**32 - 1), (2**32,), (2**32 + 7, 2**40), (0, 2**32, 5, 2**64 - 1, 31))
 
 
 def test_spawn_rng_is_deterministic():
@@ -41,6 +59,63 @@ def test_stream_key_is_stable_and_key_like():
     assert 0 <= key < 2**64
     assert stream_key(0, 3, 1) != stream_key(0, 1, 3)
     assert stream_key(0) != stream_key(1)
+
+
+def test_stream_key_golden_values():
+    # numpy's SeedSequence and the substream layout together fix these;
+    # a change to either changes every output of the package
+    assert stream_key(0, 0, 0) == 10128210881749538955
+    assert stream_key(2**64 - 1, 2**32, 1) == 8797711897004035288
+    assert stream_key(901, 31, 3) == 12024859134558439702
+
+
+def _assert_block_matches_numpy(seed, indices, roles):
+    # seed words straight from the column arithmetic
+    index_column = np.tile(_word64_array(indices), len(roles))
+    role_column = np.repeat(_word64_array(roles), len(indices))
+    entropy = _entropy(seed, (index_column, role_column))
+    words = _block_seed_words(entropy, len(indices) * len(roles)).reshape(len(roles), len(indices), 4)
+    # and generators and keys through the public entry point
+    generators, keys = block_streams(seed, indices, rngs=roles, keys=roles)
+    assert len(generators) == len(keys) == len(roles)
+    for r, role in enumerate(roles):
+        rngs = list(generators[r])
+        assert len(rngs) == len(keys[r]) == len(indices)
+        for k, i in enumerate(indices):
+            reference = np.random.SeedSequence(_entropy(seed, (i, role)))
+            assert words[r, k].tobytes() == reference.generate_state(4, np.uint64).tobytes()
+            assert rngs[k].bit_generator.state == np.random.PCG64(reference).state
+            expected = spawn_rng(seed, i, role).standard_normal(64)
+            assert rngs[k].standard_normal(64).tobytes() == expected.tobytes()
+            assert keys[r][k] == stream_key(seed, i, role)
+            assert type(keys[r][k]) is int
+
+
+@pytest.mark.parametrize("vectorised", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_streams_match_numpy_seed_sequence(seed, vectorised, monkeypatch):
+    if vectorised:
+        # every block through the column arithmetic, down to one stream
+        monkeypatch.setattr(streams, "_BLOCK_MIN_STREAMS", 0)
+    for indices in INDEX_BLOCKS:
+        _assert_block_matches_numpy(seed, indices, ROLES)
+        _assert_block_matches_numpy(seed, indices, (ROLE_SCENERY,))
+
+
+def test_block_streams_of_a_range_match_numpy():
+    # the default path of a copy loop: a range of copy indices, two roles
+    _assert_block_matches_numpy(7, range(40), (ROLE_WALK, ROLE_SCENERY))
+    _assert_block_matches_numpy(7, range(2**32 - 3, 2**32 + 3), (ROLE_WALK, ROLE_NOISE))
+
+
+def test_block_streams_split_generator_and_key_roles():
+    (walks, noises), (keys,) = block_streams(
+        9, range(10), rngs=(ROLE_WALK, ROLE_NOISE), keys=(ROLE_SCENERY,)
+    )
+    for i, walk, noise, key in zip(range(10), walks, noises, keys):
+        assert walk.bit_generator.state == spawn_rng(9, i, ROLE_WALK).bit_generator.state
+        assert noise.bit_generator.state == spawn_rng(9, i, ROLE_NOISE).bit_generator.state
+        assert key == stream_key(9, i, ROLE_SCENERY)
 
 
 def test_spawned_streams_look_independent():
