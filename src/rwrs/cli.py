@@ -246,7 +246,7 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"beta must lie in (0, 2], got {cfg.beta}")
     if cfg.sigma <= 0.0:
         raise UsageError(f"sigma must be positive, got {cfg.sigma}")
-    for name, minimum in (("n", 1), ("cn", 1), ("m", 2), ("bins", 2),
+    for name, minimum in (("n", 1), ("cn", 1), ("m", 2), ("bins", 3),
                           ("replicates", 2), ("oracle_replicates", 2)):
         if getattr(cfg, name) < minimum:
             raise UsageError(f"{name} must be at least {minimum}, got {getattr(cfg, name)}")

@@ -18,12 +18,20 @@ covariance the eigenvalues are nonnegative for all H in (0, 1); if
 rounding ever produces a negative one, sampling fails loudly.  The check
 runs once per (n, H) and its verdict is cached with the eigenvalues it
 checked.
+
+Many paths are drawn in blocks of rows: each row takes its normals from
+its own generator, the weights of the whole block are built in place,
+and one multi-row inverse FFT transforms them, which costs markedly less
+per row than one FFT per path.  Every element sees the same arithmetic
+as when its path is drawn alone, so a row is byte for byte that path;
+``sample_fgn`` and ``sample_fbm`` are the one-row case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +41,8 @@ __all__ = ["fgn_covariance", "sample_fgn", "sample_walk", "WalkPath", "sample_fb
 
 # relative slack for calling an embedding eigenvalue negative
 _EIG_TOL = 1e-9
+# paths drawn together: one multi-row inverse FFT transforms a block
+_ROW_BLOCK = 4
 
 
 def _check_hurst(hurst: float) -> None:
@@ -98,45 +108,84 @@ def _checked_spectrum(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray, np.
     return (eig, *_spectral_scale(eig, n, hurst))
 
 
-def _sample_fgn_spectral(
-    n: int, scale: np.ndarray, half: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    # one complex weight per circulant frequency; the weights are
-    # conjugate symmetric, so their transform is real (Dieker 2004,
-    # section 2.1.3) and the half up to N determines it
-    order = len(scale)
-    size = order // 2
-    # one draw of 2N normals is the same stream as two draws of N
-    g = rng.standard_normal(order)
-    g_re, g_im = g[:size], g[size:]
-    # the half-spectrum is stored conjugated: the unscaled inverse real FFT
-    # of the conjugated half is the forward FFT of the whole weight vector
-    # (np.fft.hfft, without the conjugated copy it makes).  Parts are
-    # written in place: temporaries of the embedding's size cost time and
-    # make the heap grow and shrink on every draw
-    weights = np.empty(size + 1, dtype=np.complex128)
-    weights[0] = scale[0] * g_re[0]
-    np.multiply(half, g_re[1:], out=weights.real[1:size])
-    np.multiply(half, g_im[1:], out=weights.imag[1:size])
-    np.negative(weights.imag[1:size], out=weights.imag[1:size])
-    weights[size] = scale[size] * g_im[0]
-    return np.fft.irfft(weights, order, norm="forward")[:n]
+def _fgn_blocks(
+    n: int, hurst: float, rngs: Sequence[np.random.Generator], walk: bool = False
+) -> Iterator[np.ndarray]:
+    """Increments of one fGn path per generator, drawn a block of rows at a time.
 
-
-def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw n fractional Gaussian noise increments with unit lattice step."""
+    Yields (rows, n) arrays of at most ``_ROW_BLOCK`` rows, in the order
+    of ``rngs``; with ``walk``, (rows, n + 1) arrays of the partial sums
+    S_0 = 0, ..., S_n instead.  Each row's normals come from that row's
+    own generator, in the order ``sample_fgn`` draws them, and every
+    element sees the same arithmetic, so each row is byte for byte the
+    path its generator gives alone.  A yielded block is a view of a
+    workspace that the next block overwrites.
+    """
     _check_hurst(hurst)
     if n < 1:
         raise UsageError(f"n must be a positive integer, got {n}")
+    rows = max(min(len(rngs), _ROW_BLOCK), 1)
     if hurst == 0.5:
-        return rng.standard_normal(n)
+        lead = 1 if walk else 0
+        out = np.empty((rows, lead + n), dtype=np.float64)
+        for start in range(0, len(rngs), rows):
+            block = rngs[start : start + rows]
+            for row, rng in zip(out, block):
+                rng.standard_normal(out=row[lead:])
+            x = out[: len(block)]
+            if walk:
+                x[:, 0] = 0.0
+                np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
+            yield x
+        return
     eig = _embedding_eigenvalues(n, hurst)
     checked, scale, half = _checked_spectrum(n, hurst)
     # the verdict is cached with the eigenvalues it checked: eigenvalues
     # that are not those are checked afresh
     if checked is not eig:
         scale, half = _spectral_scale(eig, n, hurst)
-    return _sample_fgn_spectral(n, scale, half, rng)
+    # one complex weight per circulant frequency; the weights are
+    # conjugate symmetric, so their transform is real (Dieker 2004,
+    # section 2.1.3) and the half up to N determines it
+    order = len(scale)
+    size = order // 2
+    # one workspace per call holds the block's normals, then its weights,
+    # and the partial sums once the weights are spent: fresh temporaries
+    # of the embedding's size cost page faults on every block
+    workspace = np.empty(rows * (2 * order + 2), dtype=np.float64)
+    normals = workspace[: rows * order].reshape(rows, order)
+    spare = workspace[rows * order :]
+    weights = spare.view(np.complex128).reshape(rows, size + 1)
+    for start in range(0, len(rngs), rows):
+        block = rngs[start : start + rows]
+        g, w = normals[: len(block)], weights[: len(block)]
+        # one draw of 2N normals per row: the real parts, then the imaginary
+        for row, rng in zip(g, block):
+            rng.standard_normal(out=row)
+        # the half-spectrum is stored conjugated: the unscaled inverse real
+        # FFT of the conjugated half is the forward FFT of the whole weight
+        # vector (np.fft.hfft, without the conjugated copy it makes)
+        w[:, 0] = scale[0] * g[:, 0]
+        np.multiply(half, g[:, 1:size], out=w.real[:, 1:size])
+        np.multiply(half, g[:, size + 1 :], out=w.imag[:, 1:size])
+        np.negative(w.imag[:, 1:size], out=w.imag[:, 1:size])
+        w[:, size] = scale[size] * g[:, size]
+        # the normals are spent, so the transform overwrites them; the
+        # weights are spent after it, so the partial sums overwrite those
+        np.fft.irfft(w, order, norm="forward", out=g)
+        if not walk:
+            yield g[:, :n]
+            continue
+        s = spare[: len(block) * (n + 1)].reshape(len(block), n + 1)
+        s[:, 0] = 0.0
+        np.cumsum(g[:, :n], axis=1, out=s[:, 1:])
+        yield s
+
+
+def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw n fractional Gaussian noise increments with unit lattice step."""
+    # the copy lets the one-row workspace go
+    return next(_fgn_blocks(n, hurst, [rng]))[0].copy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,12 +231,7 @@ class FbmGrid:
         return np.arange(len(self.values)) / self.m
 
 
-def sample_fbm(m: int, horizon: float, hurst: float, rng: np.random.Generator) -> FbmGrid:
-    """Draw fractional Brownian motion on {0, 1/m, ..., floor(m*T)/m}.
-
-    Rescales an exact fractional Gaussian walk by m**(-hurst); the grid
-    must contain at least one step, i.e. m * horizon >= 1.
-    """
+def _grid_steps(m: int, horizon: float) -> int:
     if m < 2:
         raise UsageError(f"m must be at least 2, got {m}")
     if horizon <= 0.0:
@@ -195,6 +239,30 @@ def sample_fbm(m: int, horizon: float, hurst: float, rng: np.random.Generator) -
     steps = int(np.floor(m * horizon + 1e-9))
     if steps < 1:
         raise UsageError(f"horizon {horizon} shorter than one grid step 1/{m}")
-    walk = sample_walk(steps, hurst, rng)
-    values = walk.sums * float(m) ** (-hurst)
+    return steps
+
+
+def _fbm_blocks(
+    m: int, horizon: float, hurst: float, rngs: Sequence[np.random.Generator]
+) -> Iterator[np.ndarray]:
+    """Values of one fBm grid path per generator, a block of rows at a time.
+
+    Yields (rows, floor(m*T) + 1) arrays, each row byte for byte the
+    ``values`` that ``sample_fbm`` draws from its generator; a yielded
+    block is overwritten by the next.
+    """
+    steps = _grid_steps(m, horizon)
+    scale = float(m) ** (-hurst)
+    for sums in _fgn_blocks(steps, hurst, rngs, walk=True):
+        sums *= scale
+        yield sums
+
+
+def sample_fbm(m: int, horizon: float, hurst: float, rng: np.random.Generator) -> FbmGrid:
+    """Draw fractional Brownian motion on {0, 1/m, ..., floor(m*T)/m}.
+
+    Rescales an exact fractional Gaussian walk by m**(-hurst); the grid
+    must contain at least one step, i.e. m * horizon >= 1.
+    """
+    values = next(_fbm_blocks(m, horizon, hurst, [rng]))[0].copy()
     return FbmGrid(hurst=hurst, m=m, horizon=float(horizon), values=values)

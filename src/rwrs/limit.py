@@ -16,6 +16,14 @@ Local time is estimated by occupation counts over a uniform spatial
 grid spanning the path's range, with one guard bin on each side:
 bin width h = range / (bins - 2).  The estimator conserves occupation
 mass exactly: sum_x L_t(x) * h = (floor(m t) + 1) / m.
+
+Paths are drawn, box-counted and integrated in blocks of rows: each
+row's bins are offset onto their own slots so that one ``bincount`` per
+time counts the whole block, and the noises of a block go through one
+stable transform.  Each row gets the same bytes as one path at a time;
+``fbm_local_time`` and ``sample_local_time_integral`` are the one-row
+case.  The oracle maps fixed blocks of replicate indices, so its output
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -27,10 +35,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .fgn import FbmGrid, sample_fbm
+from .fgn import FbmGrid, _fbm_blocks
 from .model import ModelParams
-from .stable import StableParams, sample_stable
-from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, block_streams, replicate_map, spawn_rng
+from .stable import StableParams, _stable_rows
+from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, block_streams, replicate_map
+
+# replicate indices per oracle task: blocks do not depend on the worker count
+_ORACLE_BLOCK = 16
 
 __all__ = [
     "LocalTimeGrid",
@@ -78,30 +89,54 @@ class LocalTimeGrid:
         return self.densities.shape[1]
 
 
-def fbm_local_time(path: FbmGrid, times: Sequence[float], bins: int) -> LocalTimeGrid:
-    """Estimate the local time field of a gridded path by box counting."""
-    if bins < 2:
-        raise UsageError(f"bins must be at least 2, got {bins}")
-    times = _check_times(times, path.horizon)
-    ends = np.floor(path.m * times + 1e-9).astype(np.int64)
-    values = path.values[: ends[-1] + 1]
-    low = float(values.min())
-    span = float(values.max()) - low
+def _check_bins(bins: int) -> None:
+    if bins < 3:
+        raise UsageError(f"bins must be at least 3, got {bins}")
+
+
+def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> list[LocalTimeGrid]:
+    """Box-count local times of each row of a (rows, steps + 1) block of grid paths.
+
+    Row r's counts sit on the slots [r*bins, (r+1)*bins), so one
+    ``bincount`` per time counts every row; each row gets exactly the
+    grid that it gets alone.  ``values`` is used as scratch and
+    overwritten; ``times`` must already be checked.
+    """
+    rows = len(values)
+    ends = np.floor(m * times + 1e-9).astype(np.int64)
+    values = values[:, : ends[-1] + 1]
+    low = values.min(axis=1)
+    span = values.max(axis=1) - low
     degenerate = span <= 0.0
     # guard bin on each side keeps boundary hits strictly interior
-    width = 1.0 if degenerate else span / (bins - 2)
+    width = np.where(degenerate, 1.0, span / (bins - 2))
     origin = low - width
-    idx = np.clip(np.floor((values - origin) / width).astype(np.int64), 0, bins - 1)
-    densities = np.empty((times.size, bins), dtype=np.float64)
-    counts = np.zeros(bins, dtype=np.int64)
+    # bin index floor((x - origin) / width), computed in place
+    values -= origin[:, np.newaxis]
+    values /= width[:, np.newaxis]
+    idx = np.floor(values, out=values).astype(np.int64)
+    np.clip(idx, 0, bins - 1, out=idx)
+    idx += np.arange(0, rows * bins, bins)[:, np.newaxis]
+    densities = np.empty((rows, times.size, bins), dtype=np.float64)
+    counts = np.zeros(rows * bins, dtype=np.int64)
+    per_row = counts.reshape(rows, bins)
+    mass = (m * width)[:, np.newaxis]
     prev = -1
     for j, end in enumerate(ends):
-        counts += np.bincount(idx[prev + 1 : end + 1], minlength=bins)
+        counts += np.bincount(idx[:, prev + 1 : end + 1].ravel(), minlength=rows * bins)
         prev = int(end)
-        densities[j] = counts / (path.m * width)
-    return LocalTimeGrid(
-        times=times, origin=origin, bin_width=width, densities=densities, degenerate=degenerate
-    )
+        np.divide(per_row, mass, out=densities[:, j])
+    return [
+        LocalTimeGrid(times=times, origin=float(o), bin_width=float(w), densities=d, degenerate=bool(g))
+        for o, w, d, g in zip(origin, width, densities, degenerate)
+    ]
+
+
+def fbm_local_time(path: FbmGrid, times: Sequence[float], bins: int) -> LocalTimeGrid:
+    """Estimate the local time field of a gridded path by box counting."""
+    _check_bins(bins)
+    times = _check_times(times, path.horizon)
+    return _box_counts(path.values[np.newaxis].copy(), path.m, times, bins)[0]
 
 
 def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta: float) -> float:
@@ -115,20 +150,25 @@ def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta
     return float(np.sum(np.abs(combined) ** beta) * grid.bin_width)
 
 
-def _power_integral_draw(
-    index: int,
+def _power_integral_block(
+    block: int,
     hurst: float,
     beta: float,
     thetas: tuple[float, ...],
     times: tuple[float, ...],
     m: int,
     bins: int,
+    replicates: int,
     seed: int,
-) -> float:
-    rng = spawn_rng(seed, index, ROLE_ORACLE)
-    path = sample_fbm(m, max(times), hurst, rng)
-    grid = fbm_local_time(path, times, bins)
-    return local_time_power_integral(grid, thetas, beta)
+) -> list[float]:
+    indices = range(block * _ORACLE_BLOCK, min((block + 1) * _ORACLE_BLOCK, replicates))
+    (paths,), _ = block_streams(seed, indices, rngs=(ROLE_ORACLE,))
+    checked = np.asarray(times, dtype=np.float64)
+    draws = []
+    for values in _fbm_blocks(m, times[-1], hurst, list(paths)):
+        for grid in _box_counts(values, m, checked, bins):
+            draws.append(local_time_power_integral(grid, thetas, beta))
+    return draws
 
 
 def power_integral_draws(
@@ -146,21 +186,26 @@ def power_integral_draws(
 
     Replicate i draws its path from the substream
     ``(seed, i, oracle-role)``, so results are reproducible and
-    worker-count independent.
+    worker-count independent.  Replicates are mapped in fixed blocks of
+    indices, whatever ``jobs`` is, and each block's paths are drawn and
+    box-counted a block of rows at a time.
     """
     if replicates < 1:
         raise UsageError(f"replicates must be positive, got {replicates}")
+    _check_bins(bins)
     draw = functools.partial(
-        _power_integral_draw,
+        _power_integral_block,
         hurst=hurst,
         beta=beta,
         thetas=tuple(float(x) for x in thetas),
-        times=tuple(float(t) for t in times),
+        times=tuple(_check_times(times, np.inf).tolist()),
         m=m,
         bins=bins,
+        replicates=replicates,
         seed=seed,
     )
-    return np.asarray(replicate_map(draw, replicates, jobs=jobs), dtype=np.float64)
+    blocks = -(-replicates // _ORACLE_BLOCK)
+    return np.concatenate(replicate_map(draw, blocks, jobs=jobs), dtype=np.float64)
 
 
 def estimate_power_integral_mean(
@@ -199,6 +244,18 @@ def limit_cf_target(u, model: ModelParams, energy_mean: float, energy_se: float 
     return target, target * base * energy_se
 
 
+def _local_time_integrals(
+    grids: Sequence[LocalTimeGrid], noise: StableParams, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Delta(t) of each grid against a noise drawn from its own generator, one row per grid."""
+    draws = _stable_rows(noise, rngs, grids[0].bins)
+    out = np.empty((len(grids), grids[0].times.size), dtype=np.float64)
+    for row, grid, bin_draws in zip(out, grids, draws):
+        row[...] = grid.densities @ (grid.bin_width ** (1.0 / noise.beta) * bin_draws)
+        row[grid.times == 0.0] = 0.0
+    return out
+
+
 def sample_local_time_integral(
     path: FbmGrid,
     times: Sequence[float],
@@ -213,11 +270,7 @@ def sample_local_time_integral(
     exact scaling of a stable measure with Lebesgue control.  Entries
     with t == 0 are exactly zero since L_0 has no mass.
     """
-    grid = fbm_local_time(path, times, bins)
-    draws = sample_stable(noise, rng, size=grid.bins)
-    values = grid.densities @ (grid.bin_width ** (1.0 / noise.beta) * draws)
-    values[grid.times == 0.0] = 0.0
-    return values
+    return _local_time_integrals([fbm_local_time(path, times, bins)], noise, [rng])[0]
 
 
 def sample_stable_motion(
@@ -235,15 +288,22 @@ def sample_stable_motion(
     with each Delta_i built from an independent fBm path and noise.
     This converges in law, as copies grows, to the local-time
     fractional stable motion that the reward schema also targets;
-    copies = 1 is a single Delta draw.
+    copies = 1 is a single Delta draw.  The copies' paths are drawn,
+    box-counted and integrated a block of rows at a time, each copy
+    from its own streams, with the same values as one copy at a time.
     """
     if copies < 1:
         raise UsageError(f"copies must be a positive integer, got {copies}")
-    times = tuple(float(t) for t in times)
+    _check_bins(bins)
+    times = _check_times(times, np.inf)
     noise = StableParams(beta=model.beta, sigma=model.sigma)
-    rows = np.empty((copies, len(times)), dtype=np.float64)
+    rows = np.empty((copies, times.size), dtype=np.float64)
     (walks, noises), _ = block_streams(seed, range(copies), rngs=(ROLE_WALK, ROLE_NOISE))
-    for i, (walk, noise_rng) in enumerate(zip(walks, noises)):
-        path = sample_fbm(m, max(times), model.hurst, walk)
-        rows[i] = sample_local_time_integral(path, times, bins, noise, noise_rng)
+    noises = list(noises)
+    start = 0
+    for values in _fbm_blocks(m, float(times[-1]), model.hurst, list(walks)):
+        stop = start + len(values)
+        grids = _box_counts(values, m, times, bins)
+        rows[start:stop] = _local_time_integrals(grids, noise, noises[start:stop])
+        start = stop
     return float(copies) ** (-1.0 / model.beta) * rows.sum(axis=0)

@@ -15,7 +15,8 @@ stable motion the oracle in ``limit`` samples directly.
 
 Every copy draws its walk and its scenery key from its own substreams,
 the same ones it uses when drawn alone; the substreams of a block of
-copies are derived together.  The rewards of all copies are then
+copies are derived together, and the walks are drawn a block of rows at
+a time by the fGn sampler.  The rewards of all copies are then
 computed in one vectorised pass: one site count and one scenery
 hash over every copy, and a running sum along each copy.  The values
 are the same, byte for byte, as drawing the copies one at a time.
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fgn import sample_fgn
+from .fgn import _fgn_blocks
 from .local_times import SITE_CEIL, RewardSeries, SceneryLike, _reward_rows, interpolate, site_of
 from .model import ModelParams, SchemaConfig
 from .stable import Scenery, SceneryKind, StableParams
@@ -51,28 +52,31 @@ def _rescaled_rows(
     """D_n at ``config.times`` for each copy index in ``copies``, one row per copy.
 
     The streams of a block of copies are derived together, each copy
-    draws its walk from its own stream, and the rewards of all copies in
-    the block are then collected in one pass.
+    draws its walk from its own stream through the row-block fGn
+    sampler, and the rewards of all copies in the block are then
+    collected in one pass.
     """
     n = config.n
     steps = max(int(np.floor(n * config.times[-1] + 1e-9)) + 1, 1)
     s = n * np.asarray(config.times)
     params = StableParams(beta=model.beta, sigma=model.sigma)
     rows = np.empty((len(copies), len(config.times)), dtype=np.float64)
-    sums = np.zeros(steps + 1, dtype=np.float64)
     per_block = max(_BLOCK_POSITIONS // (steps + 1), 1)
     for start in range(0, len(copies), per_block):
         block = copies[start : start + per_block]
         (walks,), (keys,) = block_streams(seed, block, rngs=(ROLE_WALK,), keys=(ROLE_SCENERY,))
         sites = np.empty((len(block), steps + 1), dtype=np.int64)
-        sceneries = []
-        for row, (i, walk, key) in enumerate(zip(block, walks, keys)):
-            np.cumsum(sample_fgn(steps, model.hurst, walk), out=sums[1:])
-            sites[row] = site_of(sums, convention)
-            if scenery_for_copy is None:
-                sceneries.append(Scenery(kind, params, key))
-            else:
-                sceneries.append(scenery_for_copy(i))
+        row = 0
+        for sums in _fgn_blocks(steps, model.hurst, list(walks), walk=True):
+            sites[row : row + len(sums)] = site_of(sums, convention)
+            row += len(sums)
+        # the last block is a view of the walk workspace: let it go before
+        # the reward pass allocates its own temporaries
+        del sums
+        if scenery_for_copy is None:
+            sceneries = [Scenery(kind, params, key) for key in keys]
+        else:
+            sceneries = [scenery_for_copy(i) for i in block]
         series = RewardSeries(n=steps, values=_reward_rows(sites, sceneries))
         rows[start : start + len(block)] = interpolate(series, s)
     return float(n) ** (-model.delta) * rows

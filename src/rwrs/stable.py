@@ -81,11 +81,25 @@ def _cms(angle: np.ndarray, expo: np.ndarray, beta: float) -> np.ndarray:
     return sin_part * tilt
 
 
+def _cms_inputs(rng: np.random.Generator, size):
+    # every stable draw takes its angles from the stream, then its exponentials
+    angle = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    return angle, rng.standard_exponential(size=size)
+
+
 def sample_stable(params: StableParams, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw symmetric stable variates with cf exp(-sigma**beta |u|**beta)."""
-    angle = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    expo = rng.standard_exponential(size=size)
+    angle, expo = _cms_inputs(rng, size)
     return params.sigma * _cms(np.asarray(angle), np.asarray(expo), params.beta)
+
+
+def _stable_rows(params: StableParams, rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    """``sample_stable(params, rng, size)`` for each generator, as the rows of one transform."""
+    angle = np.empty((len(rngs), size), dtype=np.float64)
+    expo = np.empty((len(rngs), size), dtype=np.float64)
+    for row, rng in enumerate(rngs):
+        angle[row], expo[row] = _cms_inputs(rng, size)
+    return params.sigma * _cms(angle, expo, params.beta)
 
 
 def pareto_scale(params: StableParams) -> float:
@@ -124,10 +138,16 @@ _LANE = 0xD1B54A32D192ED03
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The finalizer, in place on the uint64 array ``z``; ``scratch`` has z's shape."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 # one offset per lane (1 and 2), with the finalizer's own golden step folded in
@@ -140,12 +160,26 @@ def _site_uniforms(keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Uniforms on (0, 1) of lanes 1 and 2, stacked on a new leading axis.
 
     Each is a pure function of (key, site, lane); the uint64 ``keys``
-    broadcast against the uint64 ``sites``.
+    broadcast against the uint64 ``sites``.  The hash runs in place on
+    one (2, m) buffer, which the uniforms then overwrite, with one
+    lane-sized scratch array.
     """
-    bits = _mix64(_mix64(np.add.outer(_LANE_OFFSETS, sites * _GOLDEN + keys)))
-    # take the top 53 bits; the half-step offset keeps the value in the
-    # open interval so both log and power transforms are safe
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    bits = np.empty((2, *np.broadcast_shapes(np.shape(keys), sites.shape)), dtype=np.uint64)
+    np.multiply(sites, _GOLDEN, out=bits[1])
+    bits[1] += keys
+    np.add(bits[1], _LANE_OFFSETS[0], out=bits[0])
+    bits[1] += _LANE_OFFSETS[1]
+    scratch = np.empty_like(bits[0])
+    shifted = scratch.view(np.float64)
+    for lane in bits:
+        _mix64(lane, scratch)
+        _mix64(lane, scratch)
+        # take the top 53 bits; the half-step offset keeps the value in the
+        # open interval so both log and power transforms are safe
+        lane >>= np.uint64(11)
+        np.add(lane, 0.5, out=shifted)
+        np.multiply(shifted, 2.0**-53, out=lane.view(np.float64))
+    return bits.view(np.float64)
 
 
 def _keyed_values(sceneries: Sequence[Scenery], rows, sites: np.ndarray) -> np.ndarray:

@@ -364,3 +364,44 @@ def test_eigenvalue_check_verdict_is_not_reused_for_new_eigenvalues(monkeypatch)
     monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
     with pytest.raises(NumericalError):
         sample_fgn(64, 0.7, spawn_rng(28))
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+
+def _block_rows(n, hurst, rngs, walk=False):
+    from rwrs.fgn import _fgn_blocks
+
+    # each yielded block is overwritten by the next, so copy it out
+    return np.concatenate([block.copy() for block in _fgn_blocks(n, hurst, rngs, walk=walk)])
+
+
+@pytest.mark.parametrize("rows", ["one", "three", "block+1", "thirty-two"])
+@pytest.mark.parametrize("n", [64, 2049, 4096])
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+def test_fgn_rows_match_one_row_bytes(hurst, n, rows):
+    from rwrs.fgn import _ROW_BLOCK
+
+    count = {"one": 1, "three": 3, "block+1": _ROW_BLOCK + 1, "thirty-two": 32}[rows]
+    seeds = [(29, n, i) for i in range(count)]
+    got = _block_rows(n, hurst, [spawn_rng(*s) for s in seeds])
+    expect = np.stack([sample_fgn(n, hurst, spawn_rng(*s)) for s in seeds])
+    assert got.shape == (count, n)
+    assert got.tobytes() == expect.tobytes()
+    sums = _block_rows(n, hurst, [spawn_rng(*s) for s in seeds], walk=True)
+    expect_sums = np.stack([sample_walk(n, hurst, spawn_rng(*s)).sums for s in seeds])
+    assert sums.tobytes() == expect_sums.tobytes()
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_fbm_rows_match_sample_fbm_bytes(hurst):
+    from rwrs.fgn import _ROW_BLOCK, _fbm_blocks
+
+    count = 2 * _ROW_BLOCK + 1
+    got = np.concatenate(
+        [b.copy() for b in _fbm_blocks(100, 1.5, hurst, [spawn_rng(30, i) for i in range(count)])]
+    )
+    expect = np.stack([sample_fbm(100, 1.5, hurst, spawn_rng(30, i)).values for i in range(count)])
+    assert got.tobytes() == expect.tobytes()

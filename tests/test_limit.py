@@ -7,6 +7,7 @@ from rwrs import (
     FbmGrid,
     LocalTimeGrid,
     ModelParams,
+    NumericalError,
     StableParams,
     UsageError,
     cf_compare,
@@ -20,7 +21,7 @@ from rwrs import (
     sample_local_time_integral,
     sample_stable_motion,
 )
-from rwrs.streams import ROLE_NOISE, ROLE_WALK, spawn_rng
+from rwrs.streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, spawn_rng
 
 
 def _grid_path(values, m=None, hurst=0.5):
@@ -345,3 +346,118 @@ def test_motion_cf_matches_finite_copy_target():
     target = inner**copies
     target_se = copies * inner ** (copies - 1) * inner_se
     assert cf_compare(estimate, target, target_se).max_abs_z <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+
+def _box_count_reference(path, times, bins):
+    # the box count of one path with the bin geometry in Python floats
+    times = np.asarray(times, dtype=np.float64)
+    ends = np.floor(path.m * times + 1e-9).astype(np.int64)
+    values = path.values[: ends[-1] + 1]
+    low = float(values.min())
+    span = float(values.max()) - low
+    width = 1.0 if span <= 0.0 else span / (bins - 2)
+    origin = low - width
+    idx = np.clip(np.floor((values - origin) / width).astype(np.int64), 0, bins - 1)
+    densities = np.empty((times.size, bins))
+    counts = np.zeros(bins, dtype=np.int64)
+    prev = -1
+    for j, end in enumerate(ends):
+        counts += np.bincount(idx[prev + 1 : end + 1], minlength=bins)
+        prev = int(end)
+        densities[j] = counts / (path.m * width)
+    return origin, width, densities
+
+
+@pytest.mark.parametrize(
+    "m, bins, times", [(4096, 512, (1.0,)), (256, 37, (0.0, 0.5, 1.0)), (300, 3, (0.25, 1.0))]
+)
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_box_count_matches_scalar_reference(hurst, m, bins, times):
+    # the bin of every point, the path's extremes included, is unchanged
+    for i in range(20):
+        path = sample_fbm(m, 1.0, hurst, spawn_rng(66, i))
+        grid = fbm_local_time(path, times, bins)
+        origin, width, densities = _box_count_reference(path, times, bins)
+        assert (grid.origin, grid.bin_width) == (origin, width)
+        assert grid.densities.tobytes() == densities.tobytes()
+    constant = _grid_path(np.zeros(9))
+    grid = fbm_local_time(constant, (1.0,), 4)
+    origin, width, densities = _box_count_reference(constant, (1.0,), 4)
+    assert grid.degenerate and (grid.origin, grid.bin_width) == (origin, width)
+    assert grid.densities.tobytes() == densities.tobytes()
+
+
+def test_box_count_rejects_two_bins():
+    # two bins are both guard bins: the interior width would divide by zero
+    path = sample_fbm(64, 1.0, 0.5, spawn_rng(67))
+    with pytest.raises(UsageError):
+        fbm_local_time(path, (1.0,), 2)
+    with pytest.raises(UsageError):
+        sample_stable_motion(3, (1.0,), ModelParams(hurst=0.5, beta=2.0), 64, 2, seed=0)
+    with pytest.raises(UsageError):
+        power_integral_draws(0.5, 2.0, [1.0], [1.0], 64, 2, 4, seed=0)
+
+
+@pytest.mark.parametrize("copies", [1, 5, 32])
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_stable_motion_matches_per_copy_composition(hurst, copies):
+    model = ModelParams(hurst=hurst, beta=1.5)
+    noise = StableParams(beta=1.5, sigma=1.0)
+    times = (0.0, 0.5, 1.0)
+    got = sample_stable_motion(copies, times, model, 256, 64, seed=68)
+    rows = np.empty((copies, len(times)))
+    for i in range(copies):
+        path = sample_fbm(256, 1.0, hurst, spawn_rng(68, i, ROLE_WALK))
+        rows[i] = sample_local_time_integral(path, times, 64, noise, spawn_rng(68, i, ROLE_NOISE))
+    expect = float(copies) ** (-1.0 / 1.5) * rows.sum(axis=0)
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("replicates", ["one", "block-1", "block+1", "forty-five"])
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_power_integral_draws_match_per_index_composition(hurst, replicates):
+    from rwrs.limit import _ORACLE_BLOCK
+
+    count = {"one": 1, "block-1": _ORACLE_BLOCK - 1, "block+1": _ORACLE_BLOCK + 1,
+             "forty-five": 45}[replicates]
+    thetas, times = (1.0, -0.5), (0.5, 1.0)
+    got = power_integral_draws(hurst, 1.5, thetas, times, 256, 64, count, seed=69)
+    expect = np.empty(count)
+    for i in range(count):
+        path = sample_fbm(256, 1.0, hurst, spawn_rng(69, i, ROLE_ORACLE))
+        grid = fbm_local_time(path, times, 64)
+        expect[i] = local_time_power_integral(grid, thetas, 1.5)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_power_integral_draws_jobs_independent():
+    one = power_integral_draws(0.7, 1.5, [1.0], [1.0], 256, 64, 45, seed=70, jobs=1)
+    two = power_integral_draws(0.7, 1.5, [1.0], [1.0], 256, 64, 45, seed=70, jobs=2)
+    assert one.tobytes() == two.tobytes()
+
+
+def _break_embedding(monkeypatch):
+    from rwrs import fgn as fgn_mod
+
+    def broken_eigenvalues(n, hurst):
+        eig = np.ones(2 * n)
+        eig[-1] = -1.0
+        return eig
+
+    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
+
+
+def test_block_paths_keep_negative_eigenvalue_check(monkeypatch):
+    model = ModelParams(hurst=0.7, beta=1.5)
+    sample_stable_motion(5, (1.0,), model, 64, 16, seed=71)
+    power_integral_draws(0.7, 1.5, [1.0], [1.0], 64, 16, 20, seed=71)
+    _break_embedding(monkeypatch)
+    with pytest.raises(NumericalError):
+        sample_stable_motion(5, (1.0,), model, 64, 16, seed=71)
+    with pytest.raises(NumericalError):
+        power_integral_draws(0.7, 1.5, [1.0], [1.0], 64, 16, 20, seed=71)

@@ -153,6 +153,13 @@ def test_keyed_values_over_key_array_match_values_at(kind):
     assert Scenery(kind, p, key=-1).values_at(sites).tobytes() == expect[: sites.size].tobytes()
 
 
+def _mix64_reference(z):
+    # the SplitMix64 finalizer written out with fresh temporaries
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def test_site_uniforms_key_array_match_scalar_key_hash():
     # the hash written per lane with a Python-int key, as a per-key reference
     sites = np.arange(-40, 41, dtype=np.int64).view(np.uint64)
@@ -164,7 +171,7 @@ def test_site_uniforms_key_array_match_scalar_key_hash():
         for i, key in enumerate(keys):
             base = np.uint64((key + lane * stable_mod._LANE) & (2**64 - 1))
             z = base + sites * stable_mod._GOLDEN
-            bits = stable_mod._mix64(stable_mod._mix64(z + stable_mod._GOLDEN))
+            bits = _mix64_reference(_mix64_reference(z + stable_mod._GOLDEN))
             expect = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
             assert got[lane - 1, i * sites.size : (i + 1) * sites.size].tobytes() == expect.tobytes()
 
@@ -218,3 +225,11 @@ def test_normalized_sums_attracted_to_stable_law(kind, beta, n):
     normalized, p = _normalized_scenery_sums(kind, beta, n, replicates=2000, key0=1_000)
     estimate = ecf(normalized, [0.5, 1.0, 2.0])
     assert cf_compare(estimate, theoretical_cf(estimate.u, p)).max_abs_z <= 3.0
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0, 1.5, 2.0])
+def test_stable_rows_match_per_generator_draws(beta):
+    params = StableParams(beta=beta, sigma=1.3)
+    got = stable_mod._stable_rows(params, [spawn_rng(41, i) for i in range(5)], 37)
+    expect = np.stack([sample_stable(params, spawn_rng(41, i), size=37) for i in range(5)])
+    assert got.tobytes() == expect.tobytes()
