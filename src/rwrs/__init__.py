@@ -14,8 +14,8 @@ from .experiments import (
     WalkVarianceResult,
     functional_experiment,
     motion_ecf_check,
-    reward_samples,
     scaling_experiment,
+    schema_copy_samples,
     schema_ecf_check,
     schema_samples,
     stable_motion_samples,
@@ -42,13 +42,14 @@ from .local_times import (
     local_time_profiles,
     local_times,
     max_local_time,
+    occupation_reward,
     range_count,
     reward_series,
     self_intersections,
     site_of,
 )
 from .model import ModelParams, SchemaConfig, delta_exponent
-from .schema import sample_reward_process, sample_reward_schema
+from .schema import sample_reward_process, sample_reward_schema, superpose
 from .stable import (
     Scenery,
     SceneryKind,
@@ -94,6 +95,7 @@ __all__ = [
     "range_count",
     "RewardSeries",
     "reward_series",
+    "occupation_reward",
     "interpolate",
     "local_time_functional",
     "LocalTimeGrid",
@@ -106,6 +108,7 @@ __all__ = [
     "sample_stable_motion",
     "sample_reward_process",
     "sample_reward_schema",
+    "superpose",
     "EcfEstimate",
     "ecf",
     "CfComparison",
@@ -115,7 +118,7 @@ __all__ = [
     "ks_distance",
     "WalkVarianceResult",
     "walk_variance",
-    "reward_samples",
+    "schema_copy_samples",
     "schema_samples",
     "stable_motion_samples",
     "ScalingResult",

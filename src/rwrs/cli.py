@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Callable, IO, Sequence
@@ -23,7 +24,6 @@ from . import __version__
 from .errors import NumericalError, UsageError
 from .experiments import (
     functional_experiment,
-    reward_samples,
     scaling_experiment,
     schema_ecf_check,
     schema_samples,
@@ -244,14 +244,17 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"hurst must lie in (0, 1), got {cfg.hurst}")
     if not 0.0 < cfg.beta <= 2.0:
         raise UsageError(f"beta must lie in (0, 2], got {cfg.beta}")
-    if cfg.sigma <= 0.0:
-        raise UsageError(f"sigma must be positive, got {cfg.sigma}")
+    if not (math.isfinite(cfg.sigma) and cfg.sigma > 0.0):
+        raise UsageError(f"sigma must be positive and finite, got {cfg.sigma}")
     for name, minimum in (("n", 1), ("cn", 1), ("m", 2), ("bins", 3),
                           ("replicates", 2), ("oracle_replicates", 2)):
         if getattr(cfg, name) < minimum:
             raise UsageError(f"{name} must be at least {minimum}, got {getattr(cfg, name)}")
     if not 0 <= cfg.seed < 2**64:
         raise UsageError(f"seed must be a 64-bit nonnegative integer, got {cfg.seed}")
+    for name in ("times", "u"):
+        if not all(math.isfinite(v) for v in getattr(cfg, name)):
+            raise UsageError(f"{name} must be finite, got {list(getattr(cfg, name))}")
     if cfg.times[0] < 0.0 or any(b <= a for a, b in zip(cfg.times, cfg.times[1:])):
         raise UsageError(f"times must be nonnegative and strictly increasing, got {list(cfg.times)}")
     if cfg.scenery not in ("stable", "pareto"):
@@ -311,8 +314,9 @@ def _run_walk(cfg: RunConfig):
 
 
 def _run_rwrs(cfg: RunConfig):
-    samples = reward_samples(
-        cfg.model, cfg.n, cfg.times, cfg.replicates, cfg.seed,
+    # D_n is the one-copy schema
+    samples = schema_samples(
+        cfg.model, cfg.n, 1, cfg.times, cfg.replicates, cfg.seed,
         jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
     )
     summary = (

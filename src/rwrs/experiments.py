@@ -1,11 +1,11 @@
 """Replicate-level Monte Carlo drivers shared by the CLI and the tests.
 
-Each driver fans a module-level worker out over replicate indices via
-``streams.replicate_map`` and reduces the per-replicate results in
-index order, so every experiment is a pure function of (config, seed)
-regardless of worker count.  Monte Carlo means rely on numpy's pairwise
-summation, which keeps rounding error logarithmic in the number of
-heavy-tailed terms.
+Each experiment fans a module-level worker out over replicate indices, or
+over fixed blocks of them, via ``streams.replicate_map`` and reduces the
+per-replicate results in index order, so every experiment is a pure
+function of (config, seed) regardless of worker count.  Monte Carlo
+means rely on numpy's pairwise summation, which keeps rounding error
+logarithmic in the number of heavy-tailed terms.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import UsageError
 from .fgn import sample_walk
 from .local_times import (
     SITE_CEIL,
@@ -27,15 +28,15 @@ from .local_times import (
 )
 from .limit import estimate_power_integral_mean, limit_cf_target, power_integral_draws, sample_stable_motion
 from .model import ModelParams, SchemaConfig, delta_exponent
-from .schema import sample_reward_process, sample_reward_schema
+from .schema import _copy_rows, superpose
 from .stable import SceneryKind
 from .stats import EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
-from .streams import ROLE_WALK, replicate_map, spawn_rng, stream_key
+from .streams import ROLE_WALK, replicate_map, spawn_rng, stream_key, stream_words
 
 __all__ = [
     "WalkVarianceResult",
     "walk_variance",
-    "reward_samples",
+    "schema_copy_samples",
     "schema_samples",
     "stable_motion_samples",
     "ScalingResult",
@@ -52,6 +53,9 @@ __all__ = [
 # sparser ladder up to 2**14
 SLOPE_GRID = tuple(2**k for k in range(8, 14))
 MEDIAN_GRID = (2**8, 2**10, 2**12, 2**14)
+
+# replicate indices per schema task: blocks do not depend on the worker count
+_SCHEMA_BLOCK = 16
 
 
 # --- walk normalization -------------------------------------------------
@@ -90,27 +94,59 @@ def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 
 # --- trajectory samples -------------------------------------------------
 
 
-def _reward_worker(
-    index: int,
-    n: int,
-    times: tuple[float, ...],
-    hurst: float,
-    beta: float,
-    sigma: float,
+def _schema_block(
+    block: int,
+    block_size: int,
+    config: SchemaConfig,
+    model: ModelParams,
+    replicates: int,
     seed: int,
-    kind_value: str,
+    kind: SceneryKind,
     convention: str,
+    superposed: bool,
 ) -> np.ndarray:
-    model = ModelParams(hurst=hurst, beta=beta, sigma=sigma)
-    return sample_reward_process(
-        n, times, model, stream_key(seed, index),
-        kind=SceneryKind(kind_value), convention=convention,
-    )
+    indices = np.arange(block * block_size, min((block + 1) * block_size, replicates), dtype=np.uint64)
+    # replicate r draws the schema seeded by stream_key(seed, r)
+    keys = stream_words(seed, indices)[:, 0]
+    rows = _copy_rows(config, model, keys, range(config.copies), kind, None, convention)
+    # superposed in the worker, so only (block, k) values travel back
+    return superpose(rows, model.beta) if superposed else rows
 
 
-def reward_samples(
+def _schema_blocks(
     model: ModelParams,
     n: int,
+    copies: int,
+    times: Sequence[float],
+    replicates: int,
+    seed: int,
+    jobs: int,
+    kind: SceneryKind,
+    convention: str,
+    superposed: bool,
+) -> np.ndarray:
+    # replicates are mapped in fixed blocks of indices, whatever jobs is
+    if replicates < 1:
+        raise UsageError(f"replicates must be positive, got {replicates}")
+    draw = functools.partial(
+        _schema_block,
+        block_size=_SCHEMA_BLOCK,
+        config=SchemaConfig(n=n, copies=copies, times=tuple(times)),
+        model=model,
+        replicates=replicates,
+        seed=seed,
+        kind=kind,
+        convention=convention,
+        superposed=superposed,
+    )
+    blocks = -(-replicates // _SCHEMA_BLOCK)
+    return np.concatenate(replicate_map(draw, blocks, jobs=jobs))
+
+
+def schema_copy_samples(
+    model: ModelParams,
+    n: int,
+    copies: int,
     times: Sequence[float],
     replicates: int,
     seed: int,
@@ -118,39 +154,12 @@ def reward_samples(
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
     convention: str = SITE_CEIL,
 ) -> np.ndarray:
-    """Independent draws of the rescaled reward process, shape (M, k)."""
-    worker = functools.partial(
-        _reward_worker,
-        n=n,
-        times=tuple(float(t) for t in times),
-        hurst=model.hurst,
-        beta=model.beta,
-        sigma=model.sigma,
-        seed=seed,
-        kind_value=kind.value,
-        convention=convention,
-    )
-    return np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    """The copies' D_n behind each schema draw, shape (M, copies, k).
 
-
-def _schema_worker(
-    index: int,
-    n: int,
-    copies: int,
-    times: tuple[float, ...],
-    hurst: float,
-    beta: float,
-    sigma: float,
-    seed: int,
-    kind_value: str,
-    convention: str,
-) -> np.ndarray:
-    model = ModelParams(hurst=hurst, beta=beta, sigma=sigma)
-    config = SchemaConfig(n=n, copies=copies, times=times)
-    return sample_reward_schema(
-        config, model, stream_key(seed, index),
-        kind=SceneryKind(kind_value), convention=convention,
-    )
+    ``superpose`` turns them into ``schema_samples``; its first c copies
+    give the c-copy schema of the same replicates.
+    """
+    return _schema_blocks(model, n, copies, times, replicates, seed, jobs, kind, convention, superposed=False)
 
 
 def schema_samples(
@@ -164,20 +173,14 @@ def schema_samples(
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
     convention: str = SITE_CEIL,
 ) -> np.ndarray:
-    """Independent draws of the superposed schema, shape (M, k)."""
-    worker = functools.partial(
-        _schema_worker,
-        n=n,
-        copies=copies,
-        times=tuple(float(t) for t in times),
-        hurst=model.hurst,
-        beta=model.beta,
-        sigma=model.sigma,
-        seed=seed,
-        kind_value=kind.value,
-        convention=convention,
-    )
-    return np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    """Independent draws of the superposed schema, shape (M, k).
+
+    Replicate r is ``sample_reward_schema`` seeded by ``stream_key(seed,
+    r)``; ``copies = 1`` gives draws of the rescaled reward process D_n.
+    Each block of replicates is superposed where it is drawn, so memory
+    does not grow with ``copies``.
+    """
+    return _schema_blocks(model, n, copies, times, replicates, seed, jobs, kind, convention, superposed=True)
 
 
 def _motion_worker(

@@ -6,19 +6,28 @@ occupied site of a position s is the smallest integer >= s; a floor
 variant is available for sensitivity checks.  All statistics here are
 exact integer bookkeeping, randomness enters only through the path and
 the scenery.
+
+Rewards are collected step by step as a running sum (``reward_series``),
+or as the scenery against the occupation counts, Z_n = sum_x N_n(x)
+xi(x) (Kesten & Spitzer 1979), which needs each visited site once
+(``occupation_reward``).  The schema uses the second form for blocks of
+walks at once: each block of rows is reduced to the occupation counts
+of the stretches of steps between the horizons it needs, the scenery is
+looked up once per visited site for a group of rows, and Z at a horizon
+is the sum of the stretches' rewards up to it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import MissingSceneryError, UsageError
 from .fgn import WalkPath
 from .model import ModelParams
-from .stable import Scenery, _keyed_values
+from .stable import Scenery
 
 __all__ = [
     "site_of",
@@ -30,6 +39,7 @@ __all__ = [
     "range_count",
     "RewardSeries",
     "reward_series",
+    "occupation_reward",
     "interpolate",
     "local_time_functional",
 ]
@@ -149,48 +159,148 @@ def reward_series(
     a site array.  Each visited site's value is looked up once.
     """
     n = _check_horizon(path, n)
-    sites = site_of(path.sums[: n + 1], convention)
-    return RewardSeries(n=n, values=_reward_rows(sites[np.newaxis], [scenery])[0])
+    visited, step_site = np.unique(site_of(path.sums[: n + 1], convention), return_inverse=True)
+    return RewardSeries(n=n, values=np.cumsum(_scenery_values(scenery, visited)[step_site]))
 
 
-def _reward_rows(sites: np.ndarray, sceneries: Sequence[SceneryLike]) -> np.ndarray:
-    """Cumulative rewards along each row of an int64 (rows, steps + 1) site array.
+# slots in the ranges of a group of walks' stretches, whose visited sites
+# are looked up in the scenery at once: a cap on the group's arrays and the
+# hash's temporaries, which grow with them.  A stretch spans only the sites
+# near its own steps, so the slots do not multiply with the horizons.
+_GROUP_SLOTS = 1 << 12
 
-    Row i collects ``sceneries[i]``.  Each row's site range is shifted
-    onto its own block of slots, so one ``bincount`` finds the visited
-    (row, site) pairs of all rows, ordered by row, then site.  The
-    rewards are written over ``sites``, which is returned reinterpreted.
-    When every scenery is keyed with one kind and law, all pairs are
-    hashed in one pass; otherwise each scenery is called once on its
-    row's visited sites.
+
+def _row_sums(rows: np.ndarray, counts: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum of counts * values over the pairs of each row, added in pair order.
+
+    ``bincount`` adds its weights one at a time in input order, so a
+    row's sum depends only on its own pairs, whatever other rows share
+    the call.
     """
-    lo = sites.min(axis=1)
-    hi = sites.max(axis=1) + 1
-    end = (hi - lo).cumsum()  # row i owns the slots [end[i] - (hi - lo)[i], end[i])
-    shift = hi - end
-    sites -= shift[:, np.newaxis]
-    slots = np.bincount(sites.ravel()).nonzero()[0]
-    first = sceneries[0]
-    if all(
-        isinstance(s, Scenery) and s.kind is first.kind and s.params == first.params
-        for s in sceneries
-    ):
-        rows = end.searchsorted(slots, side="right")
-        values = _keyed_values(sceneries, rows, slots + shift[rows])
+    return np.bincount(rows, weights=counts * values, minlength=n_rows)
+
+
+def occupation_reward(profile: LocalTimeProfile, scenery: SceneryLike) -> float:
+    """Z_n = sum_x N_n(x) xi(x), the reward sum as scenery against occupation counts.
+
+    This is the reward series' last value, summed site by site in
+    increasing site order rather than step by step, which is how the
+    schema sums the visits of each stretch of steps between the times it
+    needs.
+    """
+    values = _scenery_values(scenery, profile.sites)
+    return float(_row_sums(np.zeros(profile.sites.size, dtype=np.intp), profile.counts, values, 1)[0])
+
+
+def _block_counts(
+    positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convention: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupation counts of each stretch of steps of each row of a block of walk positions.
+
+    Stretch j of a row is its ``lengths[j]`` steps from ``starts[j]``.
+    Returns ``(counts, lo, width)`` with ``lo`` and ``width`` of shape
+    (rows, stretches): the sites of stretch j of row i lie in [lo[i, j],
+    lo[i, j] + width[i, j]), and these ranges, in row-major order, are
+    laid end to end as the slots of ``counts``.  One ``bincount`` counts
+    every stretch of every row, however many stretches there are.
+    """
+    sites = site_of(positions[:, : starts[-1] + lengths[-1]], convention)
+    lo = np.minimum.reduceat(sites, starts, axis=1)
+    width = np.maximum.reduceat(sites, starts, axis=1) - lo + 1
+    end = width.cumsum().reshape(width.shape)
+    sites -= np.repeat(lo - (end - width), lengths, axis=1)
+    return np.bincount(sites.ravel(), minlength=end[-1, -1]), lo, width
+
+
+def _group_rewards(group: list, values_at: Callable, start: int) -> np.ndarray:
+    """Z of the rows of a group of blocks from their stretches' counts, one column per horizon.
+
+    The blocks' slots are joined end to end, so the visited (stretch,
+    site) pairs of the whole group come out ordered by row, stretch, then
+    site.  Each distinct visited (row, site) pair is looked up once.  A
+    stretch's reward is its counts against the scenery, summed in site
+    order, and Z at a horizon is the sum of the stretches up to it, added
+    in time order.  ``group`` is emptied once joined, so the blocks'
+    arrays are freed before the scenery lookup makes its temporaries.
+    """
+    counts, lo, width = (np.concatenate(part) for part in zip(*group))
+    group.clear()
+    slots = counts.nonzero()[0]
+    # the rows' whole ranges, laid end to end as well, hold the sites to look up
+    row_lo = lo.min(axis=1)
+    row_width = (lo + width).max(axis=1) - row_lo
+    row_start = row_width.cumsum() - row_width
+    if lo.shape[1] == 1:
+        # one stretch per row: its slots are its row's, each visited once
+        row_slots = visited = slots
     else:
-        bounds = slots.searchsorted(end)
-        values = np.concatenate([
-            _scenery_values(scenery, slots[start:stop] + offset)
-            for scenery, start, stop, offset in zip(sceneries, [0, *bounds[:-1]], bounds, shift)
-        ])
-    # one value per slot; only visited slots are ever read back
-    dense = np.empty(end[-1], dtype=np.float64)
-    dense[slots] = values
-    # gather over the site array itself: output j overwrites only its own
-    # index j, and "clip" mode (a no-op here) writes without a buffer
-    rewards = sites.view(np.float64)
-    np.take(dense, sites, out=rewards, mode="clip")
-    return rewards.cumsum(axis=1, out=rewards)
+        # stretch p of the flattened (row, stretch) grid owns width[p] slots; a
+        # site visited in several stretches of a row has one slot in the row's range
+        stretch = np.repeat(np.arange(lo.size), width.ravel())[slots]
+        shift = (lo - (row_lo - row_start)[:, np.newaxis]).ravel() - (width.cumsum() - width.ravel())
+        row_slots = slots + shift[stretch]
+        seen = np.zeros(row_width.sum(), dtype=bool)
+        seen[row_slots] = True
+        visited = seen.nonzero()[0]
+        del seen
+    rows = np.repeat(np.arange(start, start + len(row_lo)), row_width)[visited]
+    values = values_at(rows, visited + np.repeat(row_lo - row_start, row_width)[visited])
+    if row_slots is visited:
+        stretch = rows - start
+    else:
+        table = np.empty(row_width.sum(), dtype=np.float64)
+        table[visited] = values
+        values = table[row_slots]
+    return _row_sums(stretch, counts[slots], values, lo.size).reshape(lo.shape).cumsum(axis=1)
+
+
+def _walk_rewards(
+    blocks: Iterable[np.ndarray],
+    horizons: np.ndarray,
+    values_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    convention: str,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Z_h = sum_x N_h(x) xi(x) of each walk at each horizon, a group of walks at a time.
+
+    ``blocks`` yields (rows, >= horizons[-1] + 1) blocks of walk
+    positions.  Each block is reduced at once to the occupation counts of
+    the stretches of steps between consecutive horizons, [0, horizons[0]]
+    and then (horizons[j - 1], horizons[j]]; the counts of whole blocks
+    are gathered into groups of about ``_GROUP_SLOTS`` slots, and each
+    group's visited (row, site) pairs get their scenery values from one
+    ``values_at(rows, sites)`` call, with rows numbered from 0 across all
+    blocks.  Yields ``(start, z)`` for each group, z of shape (rows,
+    horizons) for the rows from ``start``.  No per-step array is built,
+    and the number of numpy calls per block and per group does not depend
+    on the number of horizons.
+    """
+    starts = np.concatenate(([0], horizons[:-1] + 1))
+    lengths = np.diff(horizons, prepend=-1)
+    group: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pending = start = stop = 0  # the group holds the rows [start, stop)
+    for positions in blocks:
+        counts, lo, width = _block_counts(positions, starts, lengths, convention)
+        group.append((counts, lo, width))
+        stop += len(positions)
+        pending += counts.size
+        if pending >= _GROUP_SLOTS:
+            yield start, _group_rewards(group, values_at, start)
+            start, pending = stop, 0
+    if pending:
+        yield start, _group_rewards(group, values_at, start)
+
+
+def _row_values(sceneries: Sequence[SceneryLike], rows: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Scenery values at (row, site) pairs ordered by row, row i from ``sceneries[i]``.
+
+    Each row's scenery is called once, on that row's visited sites.
+    """
+    first_row, last_row = int(rows[0]), int(rows[-1])
+    bounds = rows.searchsorted(np.arange(first_row, last_row + 2))
+    return np.concatenate([
+        _scenery_values(sceneries[r], sites[start:stop])
+        for r, start, stop in zip(range(first_row, last_row + 1), bounds[:-1], bounds[1:])
+    ])
 
 
 def interpolate(series: RewardSeries, s) -> np.ndarray:

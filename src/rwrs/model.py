@@ -14,6 +14,7 @@ about n**(1-H) times) against the beta-stable scaling of site rewards.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import UsageError
 
@@ -37,8 +38,8 @@ class ModelParams:
     delta: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise UsageError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise UsageError(f"sigma must be positive and finite, got {self.sigma}")
         delta = delta_exponent(self.hurst, self.beta)
         # guard against mis-wiring: delta - (1 - H) = H/beta never exceeds 1/beta
         assert 1.0 / self.beta >= delta - (1.0 - self.hurst) - 1e-12
@@ -49,9 +50,9 @@ class ModelParams:
 class SchemaConfig:
     """Sizes for the superposition schema: walk length and copy count.
 
-    ``times`` are the rescaled evaluation times; they must be sorted,
-    strictly increasing and nonnegative so that every consumer can rely
-    on a canonical ordering.
+    ``times`` are the rescaled evaluation times; they must be finite,
+    sorted, strictly increasing and nonnegative so that every consumer
+    can rely on a canonical ordering.
     """
 
     n: int
@@ -66,6 +67,8 @@ class SchemaConfig:
         times = tuple(float(t) for t in self.times)
         if len(times) == 0:
             raise UsageError("times must not be empty")
+        if not all(math.isfinite(t) for t in times):
+            raise UsageError(f"times must be finite, got {times}")
         if times[0] < 0.0:
             raise UsageError(f"times must be nonnegative, got {times[0]}")
         if any(b <= a for a, b in zip(times, times[1:])):

@@ -14,72 +14,100 @@ which converges, as n then copies grow, to the local-time fractional
 stable motion the oracle in ``limit`` samples directly.
 
 Every copy draws its walk and its scenery key from its own substreams,
-the same ones it uses when drawn alone; the substreams of a block of
-copies are derived together, and the walks are drawn a block of rows at
-a time by the fGn sampler.  The rewards of all copies are then
-computed in one vectorised pass: one site count and one scenery
-hash over every copy, and a running sum along each copy.  The values
-are the same, byte for byte, as drawing the copies one at a time.
+the same ones it uses when drawn alone.  Draws are made a block at a
+time: the substreams of every copy of a block of draws are derived
+together, and the walks are drawn a block of rows at a time by the fGn
+sampler.  Each block of rows is reduced at once to the occupation
+counts of the stretches of steps between the integer steps the times
+need, and the rewards are collected as Z_h = sum_x N_h(x) xi(x), the
+scenery against the counts (Kesten & Spitzer 1979), summed stretch by
+stretch, with one scenery hash for a group of rows.  A copy's
+values do not depend on which other copies or draws share its block.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fgn import _fgn_blocks
-from .local_times import SITE_CEIL, RewardSeries, SceneryLike, _reward_rows, interpolate, site_of
+from .local_times import SITE_CEIL, SceneryLike, _row_values, _walk_rewards
 from .model import ModelParams, SchemaConfig
-from .stable import Scenery, SceneryKind, StableParams
-from .streams import ROLE_SCENERY, ROLE_WALK, block_streams
+from .stable import SceneryKind, StableParams, _keyed_values
+from .streams import ROLE_SCENERY, ROLE_WALK, SeededRngs, _word64_array, stream_words
 
-__all__ = ["sample_reward_process", "sample_reward_schema"]
+__all__ = ["sample_reward_process", "sample_reward_schema", "superpose"]
 
-# walk positions held at once; copies beyond it are done in further blocks
-_BLOCK_POSITIONS = 1 << 20
+# the walk and scenery roles of one copy's substreams
+_ROLES = np.array([ROLE_WALK, ROLE_SCENERY], dtype=np.uint64)
 
 
-def _rescaled_rows(
+def _copy_rows(
     config: SchemaConfig,
     model: ModelParams,
-    seed: int,
-    copies: range,
+    seeds: Sequence[int],
+    copies: Sequence[int],
     kind: SceneryKind,
     scenery_for_copy: Callable[[int], SceneryLike] | None,
     convention: str,
 ) -> np.ndarray:
-    """D_n at ``config.times`` for each copy index in ``copies``, one row per copy.
+    """D_n at ``config.times`` of each copy index in ``copies`` of each draw seed.
 
-    The streams of a block of copies are derived together, each copy
-    draws its walk from its own stream through the row-block fGn
-    sampler, and the rewards of all copies in the block are then
-    collected in one pass.
+    Returns shape (len(seeds), len(copies), len(times)).  The streams of
+    every copy of every seed are derived in one pass, the walks are drawn
+    through the row-block fGn sampler, each generator made when its row
+    block needs it, and the rewards come from the occupation counts of
+    the stretches between the integer steps around each n t.
     """
     n = config.n
+    # each walk takes one step beyond the last time, as it always has: its
+    # length fixes the fGn embedding, so dropping the step would change the walks
     steps = max(int(np.floor(n * config.times[-1] + 1e-9)) + 1, 1)
     s = n * np.asarray(config.times)
-    params = StableParams(beta=model.beta, sigma=model.sigma)
-    rows = np.empty((len(copies), len(config.times)), dtype=np.float64)
-    per_block = max(_BLOCK_POSITIONS // (steps + 1), 1)
-    for start in range(0, len(copies), per_block):
-        block = copies[start : start + per_block]
-        (walks,), (keys,) = block_streams(seed, block, rngs=(ROLE_WALK,), keys=(ROLE_SCENERY,))
-        sites = np.empty((len(block), steps + 1), dtype=np.int64)
-        row = 0
-        for sums in _fgn_blocks(steps, model.hurst, list(walks), walk=True):
-            sites[row : row + len(sums)] = site_of(sums, convention)
-            row += len(sums)
-        # the last block is a view of the walk workspace: let it go before
-        # the reward pass allocates its own temporaries
-        del sums
-        if scenery_for_copy is None:
-            sceneries = [Scenery(kind, params, key) for key in keys]
-        else:
-            sceneries = [scenery_for_copy(i) for i in block]
-        series = RewardSeries(n=steps, values=_reward_rows(sites, sceneries))
-        rows[start : start + len(block)] = interpolate(series, s)
-    return float(n) ** (-model.delta) * rows
+    below = np.floor(s)
+    frac = s - below
+    j = below.astype(np.int64)
+    # Z is needed at floor(n t), and at floor(n t) + 1 where n t is off the lattice
+    horizons, column = np.unique(np.concatenate([j, j + (frac != 0.0)]), return_inverse=True)
+    words = stream_words(
+        _word64_array(seeds)[:, np.newaxis, np.newaxis], _word64_array(copies)[:, np.newaxis], _ROLES
+    )
+    n_rows = len(seeds) * len(copies)
+    walks = SeededRngs(words[:, :, 0].reshape(n_rows, -1))
+    if scenery_for_copy is None:
+        params = StableParams(beta=model.beta, sigma=model.sigma)
+        keys = words[:, :, 1, 0].ravel()
+        values_at = lambda rows, sites: _keyed_values(kind, params, keys[rows], sites)
+    else:
+        sceneries = [scenery_for_copy(i) for _ in range(len(seeds)) for i in copies]
+        values_at = functools.partial(_row_values, sceneries)
+    blocks = _fgn_blocks(steps, model.hurst, walks, walk=True)
+    d = np.empty((n_rows, len(s)), dtype=np.float64)
+    for start, z in _walk_rewards(blocks, horizons, values_at, convention):
+        # the arithmetic of ``interpolate``, in place, one group of rows at a time
+        z_lo, step = z.take(column[: len(s)], axis=1), z.take(column[len(s) :], axis=1)
+        step -= z_lo
+        step *= frac
+        step += z_lo
+        np.copyto(z_lo, step, where=frac != 0.0)
+        z_lo *= float(n) ** (-model.delta)
+        d[start : start + len(z)] = z_lo
+    return d.reshape(len(seeds), len(copies), len(s))
+
+
+def superpose(rows: np.ndarray, beta: float) -> np.ndarray:
+    """G_n from the D_n rows of its copies: copies**(-1/beta) times their sum.
+
+    ``rows`` is (copies, k) for one draw or (draws, copies, k) for many.
+    Each draw's copies are summed on their own, so a draw's value does not
+    depend on the other draws stacked with it, and the first c rows of a
+    draw give exactly its c-copy schema.
+    """
+    if rows.ndim == 3:
+        return np.stack([superpose(draw, beta) for draw in rows])
+    return float(len(rows)) ** (-1.0 / beta) * rows.sum(axis=0)
 
 
 def sample_reward_process(
@@ -102,8 +130,7 @@ def sample_reward_process(
     """
     config = SchemaConfig(n=n, copies=1, times=tuple(times))
     injected = None if scenery is None else (lambda i: scenery)
-    rows = _rescaled_rows(config, model, seed, range(copy, copy + 1), kind, injected, convention)
-    return rows[0]
+    return _copy_rows(config, model, [seed], [copy], kind, injected, convention)[0, 0]
 
 
 def sample_reward_schema(
@@ -121,5 +148,5 @@ def sample_reward_schema(
     on the same seed.  ``scenery_for_copy`` optionally injects a
     scenery per copy index, for controlled experiments.
     """
-    rows = _rescaled_rows(config, model, seed, range(config.copies), kind, scenery_for_copy, convention)
-    return float(config.copies) ** (-1.0 / model.beta) * rows.sum(axis=0)
+    rows = _copy_rows(config, model, [seed], range(config.copies), kind, scenery_for_copy, convention)
+    return superpose(rows[0], model.beta)

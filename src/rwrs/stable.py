@@ -182,18 +182,17 @@ def _site_uniforms(keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def _keyed_values(sceneries: Sequence[Scenery], rows, sites: np.ndarray) -> np.ndarray:
-    """Values of keyed sceneries of one kind and law at (row, site) pairs.
+def _keyed_values(kind: SceneryKind, params: StableParams, keys, sites: np.ndarray) -> np.ndarray:
+    """Values of keyed sceneries of one kind and law at the int64 ``sites``.
 
-    Pair j takes ``sceneries[rows[j]]`` at the int64 site ``sites[j]``;
-    ``rows`` may also be one index shared by every site.
+    Site j takes the scenery keyed by the uint64 ``keys[j]``; ``keys``
+    may also be one key shared by every site.
     """
-    keys = np.array([int(s.key) & _MASK64 for s in sceneries], dtype=np.uint64)[rows]
     u_main, u_aux = _site_uniforms(keys, sites.view(np.uint64))
-    kind, params = sceneries[0].kind, sceneries[0].params
     if kind is SceneryKind.EXACT_STABLE:
-        angle = math.pi * (u_main - 0.5)
-        expo = -np.log(u_aux)
+        # angle pi (u - 0.5) and exponential -log(u'), in place over the uniforms
+        angle = np.multiply(np.subtract(u_main, 0.5, out=u_main), math.pi, out=u_main)
+        expo = np.negative(np.log(u_aux, out=u_aux), out=u_aux)
         return params.sigma * _cms(angle, expo, params.beta)
     magnitude = pareto_scale(params) * u_main ** (-1.0 / params.beta)
     return np.where(u_aux < 0.5, -magnitude, magnitude)
@@ -216,7 +215,8 @@ class Scenery:
             pareto_scale(self.params)  # rejects beta = 2 up front
 
     def values_at(self, sites) -> np.ndarray:
-        return _keyed_values([self], 0, np.ascontiguousarray(sites, dtype=np.int64))
+        key = np.uint64(int(self.key) & _MASK64)
+        return _keyed_values(self.kind, self.params, key, np.ascontiguousarray(sites, dtype=np.int64))
 
     def __getitem__(self, site: int) -> float:
         return float(self.values_at(np.asarray([site]))[0])

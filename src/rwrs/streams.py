@@ -10,11 +10,12 @@ worker count.
 
 A stream is numpy's ``SeedSequence`` of the key's entropy words feeding
 a ``PCG64`` generator.  ``spawn_rng`` and ``stream_key`` derive one
-stream at a time through numpy.  ``block_streams`` derives the streams
-``(seed, i, role)`` of a whole block of indices at once: it runs
+stream at a time through numpy.  ``stream_words`` derives many streams
+at once, for arrays of seeds and path entries: it runs
 ``SeedSequence``'s pool mixing as uint32 arithmetic on one column per
 stream, with the data-independent hash constants precomputed, and gives
-the same generators and keys as numpy, bit for bit.
+the same generators and keys as numpy, bit for bit.  ``block_streams``
+is its form for the streams ``(seed, i, role)`` of a block of indices.
 """
 
 from __future__ import annotations
@@ -203,6 +204,50 @@ def seeded_rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+def stream_words(seed, *path) -> np.ndarray:
+    """Seed words of the streams ``(seed, *path)``, one stream per element.
+
+    ``seed`` and each path entry are an int or an integer array; arrays
+    broadcast together, and the result has their broadcast shape plus a
+    trailing axis of ``_SEED_WORDS`` uint64 words, what the stream's
+    ``SeedSequence`` gives as ``generate_state(4, np.uint64)``.  The first
+    word is ``stream_key(seed, *path)``, and ``seeded_rng`` makes the
+    stream's generator from the words.  All streams are derived in one
+    vectorised pass; only a few streams go through numpy one at a time.
+    """
+    length, *values = _entropy(seed, path)
+    columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in values))
+    shape = columns[0].shape
+    count = columns[0].size
+    if count < _BLOCK_MIN_STREAMS:
+        words = [
+            _seed_sequence(entry[0], entry[1:]).generate_state(_SEED_WORDS, np.uint64)
+            for entry in zip(*(c.ravel().tolist() for c in columns))
+        ]
+        return np.array(words, dtype=np.uint64).reshape(*shape, _SEED_WORDS)
+    return _block_seed_words((length, *(c.ravel() for c in columns)), count).reshape(*shape, _SEED_WORDS)
+
+
+class SeededRngs(Sequence[np.random.Generator]):
+    """The generators of streams given by their seed words, each made when it is taken.
+
+    ``words`` is a (streams, 4) array from ``stream_words``; a slice
+    gives a list of fresh generators, so a long sequence of streams
+    never holds more generators than its caller takes at once.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [seeded_rng(w) for w in self.words[index]]
+        return seeded_rng(self.words[index])
+
+
 def block_streams(
     seed: int, indices: Sequence[int], rngs: Sequence[int] = (), keys: Sequence[int] = ()
 ) -> tuple[list[Iterable[np.random.Generator]], list[list[int]]]:
@@ -212,22 +257,10 @@ def block_streams(
     ``spawn_rng(seed, i, rngs[r])`` for each i in ``indices`` in turn,
     each made when it is taken; ``key_lists[r]`` lists
     ``stream_key(seed, i, keys[r])``.  The streams of a block are
-    derived in one vectorised pass; a block of only a few streams goes
-    through numpy one stream at a time.
+    derived together by ``stream_words``.
     """
     roles = (*rngs, *keys)
-    count = len(indices)
-    if count * len(roles) < _BLOCK_MIN_STREAMS:
-        return (
-            [[spawn_rng(seed, i, role) for i in indices] for role in rngs],
-            [[stream_key(seed, i, role) for i in indices] for role in keys],
-        )
-    # one stream per (role, index) pair, role-major
-    index_column = np.tile(_word64_array(indices), len(roles))
-    role_column = np.repeat(_word64_array(roles), count)
-    entropy = _entropy(seed, (index_column, role_column))
-    words = _block_seed_words(entropy, count * len(roles)).reshape(len(roles), count, _SEED_WORDS)
-    # a stream's key is its first seed word
+    words = stream_words(seed, _word64_array(indices), _word64_array(roles)[:, np.newaxis])
     return (
         [map(seeded_rng, words[r]) for r in range(len(rngs))],
         [words[r, :, 0].tolist() for r in range(len(rngs), len(roles))],

@@ -24,8 +24,9 @@ from rwrs import (
     limit_cf_target,
     sample_stable,
     scaling_experiment,
-    schema_samples,
+    schema_copy_samples,
     stable_motion_samples,
+    superpose,
     theoretical_cf,
     walk_variance,
 )
@@ -169,9 +170,12 @@ def test_criterion_7_schema_cf_and_copy_trend(capsys, energy_estimates):
     for hurst, beta in PAIRS:
         model = ModelParams(hurst=hurst, beta=beta)
         energy_mean, energy_se = energy_estimates[(hurst, beta)]
+        # copy i of a replicate is the same for every copy count, so the
+        # 8- and 32-copy schemas are prefixes of one 128-copy draw
+        copy_rows = schema_copy_samples(model, 2048, 128, [1.0], 500, SEED)
         per_copies = {}
         for copies in (8, 32, 128):
-            samples = schema_samples(model, 2048, copies, [1.0], 500, SEED)[:, 0]
+            samples = superpose(copy_rows[:, :copies], beta)[:, 0]
             estimate = ecf(samples, CF_FREQS)
             target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
             per_copies[copies] = cf_compare(estimate, target, target_se).max_abs_z
@@ -214,14 +218,18 @@ def test_criterion_9_cli_byte_determinism(capsys, tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    checks = []
+    # 40 replicates are three blocks of schema replicates, so --jobs 2 and 3
+    # split them between workers
+    checks = {}
     for args in (
-        ("schema", "--n", "64", "--cn", "4", "--replicates", "16"),
+        ("schema", "--n", "64", "--cn", "4", "--replicates", "40"),
+        ("rwrs", "--n", "64", "--replicates", "40"),
         ("scaling", "--replicates", "10"),
     ):
         outputs = {jobs: run(*args, "--jobs", jobs) for jobs in ("1", "2", "3")}
-        checks.append(outputs["1"] == outputs["2"] == outputs["3"])
-    ok = all(checks)
+        checks[args[0]] = outputs["1"] == outputs["2"] == outputs["3"]
+    ok = all(checks.values())
+    detail = ", ".join(f"{name}={same}" for name, same in checks.items())
     announce(capsys, f"criterion 9 (byte-identical CSV for any --jobs): "
-                     f"{'PASS' if ok else 'FAIL'} [schema={checks[0]}, scaling={checks[1]}]")
+                     f"{'PASS' if ok else 'FAIL'} [{detail}]")
     assert ok

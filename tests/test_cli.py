@@ -266,3 +266,65 @@ def test_cli_byte_identical_across_jobs():
     two = run_cli("schema", "--n", "32", "--cn", "2", "--replicates", "8", "--jobs", "2")
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+# small sizes, so a value that slipped through validation still finishes fast
+_SMALL = ["--n", "16", "--cn", "2", "--m", "64", "--bins", "16", "--replicates", "2",
+          "--oracle-replicates", "4"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["schema", "--sigma", "nan"],
+        ["schema", "--sigma", "inf"],
+        ["ecf-check", "--sigma", "nan"],
+        ["ecf-check", "--u", "nan"],
+        ["ecf-check", "--u", "0.5,inf"],
+        ["schema", "--times", "nan"],
+        ["schema", "--times", "inf"],
+        ["rwrs", "--times", "0.5,inf"],
+        ["delta", "--times", "inf"],
+    ],
+)
+def test_cli_rejects_non_finite_flags(args, capsys):
+    code = main([*args, *_SMALL])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("rwrs: error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", ["sigma = nan", "sigma = inf", "times = 0.5,nan", "u = inf"])
+def test_cli_rejects_non_finite_config_values(line, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code = main(["ecf-check", "--config", str(config), *_SMALL])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("rwrs: error:")
+    assert captured.out == ""
+
+
+def test_cli_non_finite_sigma_exits_one_without_csv():
+    proc = run_cli("schema", "--sigma", "nan", *_SMALL)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rwrs: error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_rwrs_values_equal_one_copy_schema():
+    # D_n is the one-copy schema: same table under each command's own header
+    common = ["--n", "64", "--replicates", "20", "--times", "0.3,1", "--hurst", "0.7", "--beta", "1.5"]
+    rwrs_run = run_cli("rwrs", *common)
+    schema_run = run_cli("schema", *common, "--cn", "1")
+    assert rwrs_run.returncode == schema_run.returncode == 0
+
+    def table(proc):
+        return "".join(l for l in proc.stdout.splitlines(keepends=True) if not l.startswith("#"))
+
+    assert table(rwrs_run).encode() == table(schema_run).encode()
+    assert "# command=rwrs\n" in rwrs_run.stdout
+    assert "# cn=32\n" in rwrs_run.stdout
+    assert len(table(rwrs_run).splitlines()) == 1 + 20 * 2

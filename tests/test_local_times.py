@@ -13,6 +13,7 @@ from rwrs import (
     local_times,
     local_time_profiles,
     max_local_time,
+    occupation_reward,
     range_count,
     reward_series,
     sample_walk,
@@ -194,6 +195,26 @@ def test_reward_series_matches_count_weighted_sum():
     series = reward_series(walk, table)
     direct = sum(table[int(s)] * int(c) for s, c in zip(profile.sites, profile.counts))
     assert series.values[-1] == pytest.approx(direct, rel=1e-12)
+
+
+def test_occupation_reward_adds_counts_times_values_site_by_site(make_path):
+    # Z_n = sum_x N_n(x) xi(x), added in increasing site order: sites 0, 1, 2
+    # are visited 1, 3 and 1 times
+    path = make_path([0.0, 0.5, 1.2, 0.4, 0.9])
+    table = {0: 0.1, 1: 1e16 / 3.0, 2: -1e16}
+    expect = 0.0
+    for site, count in ((0, 1), (1, 3), (2, 1)):
+        expect += count * table[site]
+    assert occupation_reward(local_times(path), table) == expect
+
+
+def test_occupation_reward_matches_reward_series():
+    walk = sample_walk(333, 0.65, spawn_rng(46))
+    scenery = lambda sites: np.cos(1.7 * sites)
+    for h in (0, 1, 100, 333):
+        profile = local_times(walk, n=h)
+        step_by_step = reward_series(walk, scenery, n=h).values[-1]
+        assert occupation_reward(profile, scenery) == pytest.approx(step_by_step, rel=1e-12, abs=1e-12)
 
 
 def test_reward_series_is_linear_in_scenery():

@@ -1,27 +1,59 @@
 """Tests for the rescaled reward process and its normalized superposition."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from rwrs import (
     ModelParams,
+    RewardSeries,
     Scenery,
     SceneryKind,
     SchemaConfig,
     StableParams,
     UsageError,
     delta_exponent,
+    LocalTimeProfile,
     interpolate,
+    occupation_reward,
     reward_series,
     sample_reward_process,
     sample_reward_schema,
     sample_walk,
+    schema_copy_samples,
+    schema_samples,
+    superpose,
 )
-from rwrs import schema as schema_mod
-from rwrs.local_times import SITE_CEIL, SITE_FLOOR
+from rwrs import experiments as experiments_mod
+from rwrs.local_times import SITE_CEIL, SITE_FLOOR, site_of
 from rwrs.streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
+
+# the package exports a function named local_times, which hides the module
+local_times_mod = importlib.import_module("rwrs.local_times")
+
+
+def _count_weighted_series(walk, scenery, s, convention=SITE_CEIL):
+    # Z_h = sum_x N_h(x) xi(x) at the steps h the times s need, the way the
+    # schema sums it: the occupation counts of each stretch of steps between
+    # consecutive such h against the scenery, in site order, and the
+    # stretches added up in time order.  Z is left undefined elsewhere.
+    below = np.floor(s)
+    horizons = np.unique(np.concatenate([below, below + (s != below)]).astype(np.int64))
+    values = np.full(walk.n + 1, np.nan)
+    total, prev = 0.0, -1
+    for h in horizons:
+        stretch = site_of(walk.sums[prev + 1 : h + 1], convention)
+        sites, counts = np.unique(stretch, return_counts=True)
+        total += occupation_reward(LocalTimeProfile(n=h - prev - 1, sites=sites, counts=counts), scenery)
+        values[h] = total
+        prev = h
+    return RewardSeries(n=walk.n, values=values)
+
+
+def _per_step_series(walk, scenery, s, convention=SITE_CEIL):
+    return reward_series(walk, scenery, convention=convention)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +103,18 @@ def test_schema_config_validation():
         SchemaConfig(n=8, copies=1, times=(0.5, 0.5))
     with pytest.raises(UsageError):
         SchemaConfig(n=8, copies=1, times=(1.0, 0.5))
+
+
+def test_model_params_rejects_non_finite_sigma():
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(UsageError):
+            ModelParams(hurst=0.5, beta=2.0, sigma=sigma)
+
+
+def test_schema_config_rejects_non_finite_times():
+    for times in ((float("nan"),), (0.5, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(UsageError):
+            SchemaConfig(n=8, copies=1, times=times)
 
 
 def test_schema_config_coerces_times_to_floats():
@@ -126,9 +170,10 @@ def test_process_substream_layout_is_documented_one():
         params=StableParams(beta=model.beta, sigma=model.sigma),
         key=stream_key(seed, copy, ROLE_SCENERY),
     )
-    series = reward_series(walk, scenery)
-    expect = float(n) ** (-model.delta) * np.atleast_1d(interpolate(series, n * np.asarray(times)))
-    np.testing.assert_array_equal(got, expect)
+    s = n * np.asarray(times)
+    series = _count_weighted_series(walk, scenery, s)
+    expect = float(n) ** (-model.delta) * np.atleast_1d(interpolate(series, s))
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_injected_scenery_uses_same_walk_stream():
@@ -142,9 +187,10 @@ def test_injected_scenery_uses_same_walk_stream():
     )
     steps = n + 1
     walk = sample_walk(steps, model.hurst, spawn_rng(seed, 0, ROLE_WALK))
-    series = reward_series(walk, lambda s: s.astype(np.float64))
-    expect = float(n) ** (-model.delta) * np.atleast_1d(interpolate(series, np.asarray([float(n)])))
-    np.testing.assert_array_equal(got, expect)
+    s = np.asarray([float(n)])
+    series = _count_weighted_series(walk, lambda x: x.astype(np.float64), s)
+    expect = float(n) ** (-model.delta) * np.atleast_1d(interpolate(series, s))
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_process_pareto_kind_differs_from_exact():
@@ -251,7 +297,9 @@ def test_schema_output_shape_matches_times():
     assert sample_reward_schema(config, model, seed=84).shape == (4,)
 
 
-def _per_copy_schema(config, model, seed, kind, convention, scenery_for_copy=None):
+def _per_copy_schema(
+    config, model, seed, kind, convention, scenery_for_copy=None, series=_count_weighted_series
+):
     # the schema composed one copy at a time from the public pieces
     steps = int(np.floor(config.n * config.times[-1] + 1e-9)) + 1
     s = config.n * np.asarray(config.times)
@@ -266,8 +314,8 @@ def _per_copy_schema(config, model, seed, kind, convention, scenery_for_copy=Non
             )
         else:
             scenery = scenery_for_copy(i)
-        series = reward_series(walk, scenery, convention=convention)
-        rows.append(float(config.n) ** (-model.delta) * np.atleast_1d(interpolate(series, s)))
+        rewards = series(walk, scenery, s, convention)
+        rows.append(float(config.n) ** (-model.delta) * np.atleast_1d(interpolate(rewards, s)))
     return float(config.copies) ** (-1.0 / model.beta) * np.stack(rows).sum(axis=0)
 
 
@@ -277,9 +325,10 @@ def _per_copy_schema(config, model, seed, kind, convention, scenery_for_copy=Non
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
 def test_schema_matches_per_copy_composition_bytes(hurst, kind, convention, copies):
     # all copies share one reward pass; it must reproduce the copy-at-a-time
-    # composition byte for byte, at lattice times (0 and 1) and between them
+    # composition byte for byte, at lattice times (0, 0.3 and 1) and between
+    # them (n t = 52.8)
     model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
-    config = SchemaConfig(n=160, copies=copies, times=(0.0, 0.3, 1.0))
+    config = SchemaConfig(n=160, copies=copies, times=(0.0, 0.3, 0.33, 1.0))
     seed = 85 + copies
     got = sample_reward_schema(config, model, seed, kind=kind, convention=convention)
     expect = _per_copy_schema(config, model, seed, kind, convention)
@@ -288,13 +337,58 @@ def test_schema_matches_per_copy_composition_bytes(hurst, kind, convention, copi
 
 def test_schema_blocks_do_not_change_bytes(monkeypatch):
     model = ModelParams(hurst=0.7, beta=2.0)
-    config = SchemaConfig(n=200, copies=32, times=(0.0, 0.515, 1.0))
+    config = SchemaConfig(n=200, copies=32, times=(0.0, 0.515, 0.5175, 1.0))
     whole = sample_reward_schema(config, model, seed=86)
-    # 201 steps, so 202 walk positions per copy: blocks of 3 copies, the last of 2
-    monkeypatch.setattr(schema_mod, "_BLOCK_POSITIONS", 3 * 202)
-    blocked = sample_reward_schema(config, model, seed=86)
     expect = _per_copy_schema(config, model, 86, SceneryKind.EXACT_STABLE, SITE_CEIL)
-    assert blocked.tobytes() == whole.tobytes() == expect.tobytes()
+    # a scenery lookup for every row block, then for groups of a few row blocks
+    for slots in (1, 700):
+        monkeypatch.setattr(local_times_mod, "_GROUP_SLOTS", slots)
+        blocked = sample_reward_schema(config, model, seed=86)
+        assert blocked.tobytes() == whole.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("convention", [SITE_CEIL, SITE_FLOOR])
+@pytest.mark.parametrize("kind", list(SceneryKind))
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+def test_schema_matches_per_step_reward_series_composition(hurst, kind, convention):
+    # the counts sum the rewards site by site, reward_series step by step:
+    # equal up to rounding
+    model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
+    config = SchemaConfig(n=300, copies=9, times=(0.0, 0.3, 0.7717, 1.0))
+    got = sample_reward_schema(config, model, 90, kind=kind, convention=convention)
+    expect = _per_copy_schema(config, model, 90, kind, convention, series=_per_step_series)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_schema_on_a_dense_time_grid_looks_up_each_visited_site_once(hurst):
+    # 40 times, most off the lattice, cut each walk into about 80 short
+    # stretches that revisit sites; each copy's scenery must still see each
+    # visited site once, in one call, and the values must match both
+    # references
+    model = ModelParams(hurst=hurst, beta=1.5)
+    times = tuple(float(t) for t in np.round(np.linspace(0.0137, 1.0, 40), 4))
+    config = SchemaConfig(n=120, copies=3, times=times)
+    calls = {i: [] for i in range(config.copies)}
+
+    def scenery_for_copy(i):
+        def scenery(sites):
+            calls[i].append(sites.copy())
+            return np.cos(3.0 * sites + i)
+
+        return scenery
+
+    got = sample_reward_schema(config, model, seed=93, scenery_for_copy=scenery_for_copy)
+    steps = int(np.floor(config.n * times[-1] + 1e-9)) + 1
+    for i, made in calls.items():
+        walk = sample_walk(steps, model.hurst, spawn_rng(93, i, ROLE_WALK))
+        assert len(made) == 1
+        np.testing.assert_array_equal(made[0], np.unique(site_of(walk.sums[: config.n + 1])))
+    quiet = {i: (lambda sites, i=i: np.cos(3.0 * sites + i)) for i in calls}
+    expect = _per_copy_schema(config, model, 93, None, SITE_CEIL, quiet.__getitem__)
+    assert got.tobytes() == expect.tobytes()
+    per_step = _per_copy_schema(config, model, 93, None, SITE_CEIL, quiet.__getitem__, _per_step_series)
+    assert np.max(np.abs(got - per_step)) <= 1e-12 * np.max(np.abs(per_step))
 
 
 def test_schema_mixed_injected_sceneries_match_per_copy_composition():
@@ -331,3 +425,50 @@ def test_schema_block_path_keeps_negative_eigenvalue_check(monkeypatch):
     monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
     with pytest.raises(NumericalError):
         sample_reward_schema(config, model, seed=88)
+
+
+# ---------------------------------------------------------------------------
+# Replicate blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_schema_samples_do_not_depend_on_replicate_block_or_jobs(monkeypatch, block, jobs):
+    # replicate r is the schema seeded by stream_key(seed, r), drawn alone,
+    # whatever block of replicates and worker it is drawn in; 5 copies put
+    # the walks of two replicates into one row block
+    model = ModelParams(hurst=0.7, beta=1.5)
+    config = SchemaConfig(n=64, copies=5, times=(0.3, 1.0))
+    if block is not None:
+        monkeypatch.setattr(experiments_mod, "_SCHEMA_BLOCK", block)
+    got = schema_samples(model, config.n, config.copies, config.times, 7, 91, jobs=jobs)
+    alone = [sample_reward_schema(config, model, stream_key(91, r)) for r in range(7)]
+    assert got.shape == (7, 2)
+    for row, expect in zip(got, alone):
+        assert row.tobytes() == expect.tobytes()
+
+
+def test_schema_copy_prefixes_match_schema_samples_bytes():
+    # copy i of a replicate is the same for every copy count, so the first c
+    # copies of a larger draw give the c-copy schema
+    model = ModelParams(hurst=0.7, beta=1.5)
+    times = (0.5, 1.0)
+    rows = schema_copy_samples(model, 64, 12, times, 5, 92)
+    assert rows.shape == (5, 12, 2)
+    for copies in (1, 4, 5, 8, 12):
+        expect = schema_samples(model, 64, copies, times, 5, 92)
+        assert superpose(rows[:, :copies], model.beta).tobytes() == expect.tobytes()
+
+
+def test_schema_samples_one_copy_is_the_reward_process():
+    model = ModelParams(hurst=0.6, beta=1.5)
+    got = schema_samples(model, 48, 1, (0.5, 1.0), 4, 93)
+    for r, row in enumerate(got):
+        expect = sample_reward_process(48, (0.5, 1.0), model, stream_key(93, r))
+        assert row.tobytes() == expect.tobytes()
+
+
+def test_schema_samples_reject_no_replicates():
+    with pytest.raises(UsageError):
+        schema_samples(ModelParams(hurst=0.5, beta=2.0), 16, 2, (1.0,), 0, 94)

@@ -146,7 +146,8 @@ def test_keyed_values_over_key_array_match_values_at(kind):
     sceneries = [Scenery(kind, p, key=k) for k in keys]
     sites = np.arange(-40, 41, dtype=np.int64)
     rows = np.repeat(np.arange(len(keys)), sites.size)
-    got = stable_mod._keyed_values(sceneries, rows, np.tile(sites, len(keys)))
+    key_array = np.asarray(keys, dtype=np.uint64)[rows]
+    got = stable_mod._keyed_values(kind, p, key_array, np.tile(sites, len(keys)))
     expect = np.concatenate([s.values_at(sites) for s in sceneries])
     assert got.tobytes() == expect.tobytes()
     # a key is taken modulo 2**64

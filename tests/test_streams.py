@@ -18,6 +18,7 @@ from rwrs.streams import (
     replicate_map,
     spawn_rng,
     stream_key,
+    stream_words,
 )
 
 ROLES = (ROLE_WALK, ROLE_SCENERY, ROLE_NOISE, ROLE_ORACLE)
@@ -106,6 +107,40 @@ def test_block_streams_of_a_range_match_numpy():
     # the default path of a copy loop: a range of copy indices, two roles
     _assert_block_matches_numpy(7, range(40), (ROLE_WALK, ROLE_SCENERY))
     _assert_block_matches_numpy(7, range(2**32 - 3, 2**32 + 3), (ROLE_WALK, ROLE_NOISE))
+
+
+# draw seeds that need one entropy word and two, mixed in one array
+MIXED_SEEDS = (0, 5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "seeds, copies, roles",
+    [
+        ((2**40,), (3,), (ROLE_SCENERY,)),  # one stream
+        ((7, 2**33), (0, 2**32 + 1), (ROLE_WALK, ROLE_SCENERY)),  # 8 streams, numpy one at a time
+        (MIXED_SEEDS, (0,), (ROLE_WALK, ROLE_SCENERY)),  # 12 streams, the column arithmetic
+        (MIXED_SEEDS, (0, 1, 2**32 + 7), (ROLE_WALK, ROLE_SCENERY)),  # 36 streams
+    ],
+)
+def test_stream_words_over_seed_arrays_match_numpy_seed_sequence(seeds, copies, roles):
+    # the broadcast the schema makes: draw seeds x copies x roles
+    words = stream_words(
+        _word64_array(seeds)[:, None, None], _word64_array(copies)[:, None], _word64_array(roles)
+    )
+    assert words.shape == (len(seeds), len(copies), len(roles), 4)
+    assert words.dtype == np.uint64
+    for a, seed in enumerate(seeds):
+        for b, copy in enumerate(copies):
+            for c, role in enumerate(roles):
+                reference = np.random.SeedSequence(_entropy(seed, (copy, role)))
+                assert words[a, b, c].tobytes() == reference.generate_state(4, np.uint64).tobytes()
+                assert int(words[a, b, c, 0]) == stream_key(seed, copy, role)
+
+
+@pytest.mark.parametrize("indices", [(0,), tuple(range(11)), tuple(range(12)), (0, 2**32, 5, 2**64 - 1) * 4])
+def test_stream_words_of_an_index_array_are_the_stream_keys(indices):
+    keys = stream_words(2**35 + 1, _word64_array(indices))[:, 0]
+    assert keys.tolist() == [stream_key(2**35 + 1, i) for i in indices]
 
 
 def test_block_streams_split_generator_and_key_roles():
