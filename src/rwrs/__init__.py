@@ -6,7 +6,7 @@ for its limit, the local-time fractional stable motion, and the
 statistics needed to verify the convergence numerically.
 """
 
-from .errors import MissingSceneryError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .experiments import (
     EcfCheckResult,
     FunctionalResult,
@@ -40,7 +40,6 @@ from .local_times import (
     interpolate,
     local_time_functional,
     local_time_profiles,
-    local_times,
     max_local_time,
     occupation_reward,
     range_count,
@@ -55,7 +54,6 @@ from .stable import (
     SceneryKind,
     StableParams,
     pareto_scale,
-    sample_scenery,
     sample_stable,
     theoretical_cf,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "__version__",
     "UsageError",
     "NumericalError",
-    "MissingSceneryError",
     "ModelParams",
     "SchemaConfig",
     "delta_exponent",
@@ -75,7 +72,6 @@ __all__ = [
     "SceneryKind",
     "Scenery",
     "sample_stable",
-    "sample_scenery",
     "theoretical_cf",
     "pareto_scale",
     "fgn_covariance",
@@ -88,7 +84,6 @@ __all__ = [
     "SITE_CEIL",
     "SITE_FLOOR",
     "LocalTimeProfile",
-    "local_times",
     "local_time_profiles",
     "max_local_time",
     "self_intersections",

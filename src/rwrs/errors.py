@@ -11,7 +11,3 @@ class NumericalError(RuntimeError):
     Raised, for example, when a spectral embedding turns out not to be
     positive semi-definite.
     """
-
-
-class MissingSceneryError(LookupError):
-    """A walk visited a site for which the supplied scenery has no value."""

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import UsageError
-from .fgn import sample_walk
+from .fgn import WalkPath, sample_walk
 from .local_times import (
     SITE_CEIL,
     local_time_functional,
@@ -27,10 +26,10 @@ from .local_times import (
     self_intersections,
 )
 from .limit import estimate_power_integral_mean, limit_cf_target, power_integral_draws, sample_stable_motion
-from .model import ModelParams, SchemaConfig, delta_exponent
+from .model import ModelParams, SchemaConfig, check_sizes, delta_exponent
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind
-from .stats import EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
+from .stats import CfComparison, EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
 from .streams import ROLE_WALK, replicate_map, spawn_rng, stream_key, stream_words
 
 __all__ = [
@@ -54,15 +53,33 @@ __all__ = [
 SLOPE_GRID = tuple(2**k for k in range(8, 14))
 MEDIAN_GRID = (2**8, 2**10, 2**12, 2**14)
 
+# acceptance window of the occupation exponents: each fitted slope within
+# 0.1 of its target
+SLOPE_TOLERANCE = 0.1
+
 # replicate indices per schema task: blocks do not depend on the worker count
 _SCHEMA_BLOCK = 16
+
+
+def _replicate_worker(
+    index: int, statistic: Callable, seed: int, steps: int | None = None, hurst: float | None = None, **params
+):
+    """Replicate ``index`` of a per-index experiment, from its own streams.
+
+    With ``steps``, it is ``statistic(walk, **params)`` of the walk of that
+    many steps and Hurst index ``hurst`` drawn from the stream (seed,
+    index, walk role); without, ``statistic(seed=stream_key(seed, index),
+    **params)``.
+    """
+    if steps is not None:
+        return statistic(sample_walk(steps, hurst, spawn_rng(seed, index, ROLE_WALK)), **params)
+    return statistic(seed=stream_key(seed, index), **params)
 
 
 # --- walk normalization -------------------------------------------------
 
 
-def _walk_final_worker(index: int, n: int, hurst: float, seed: int) -> float:
-    walk = sample_walk(n, hurst, spawn_rng(seed, index, ROLE_WALK))
+def _final_position(walk: WalkPath) -> float:
     return float(walk.sums[-1])
 
 
@@ -79,7 +96,7 @@ class WalkVarianceResult:
 
 def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 1) -> WalkVarianceResult:
     """Sample variance of S_n against the exact value n**(2*hurst)."""
-    worker = functools.partial(_walk_final_worker, n=n, hurst=hurst, seed=seed)
+    worker = functools.partial(_replicate_worker, statistic=_final_position, seed=seed, steps=n, hurst=hurst)
     finals = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
     variance = float(finals.var(ddof=1))
     ratio = variance / float(n) ** (2.0 * hurst)
@@ -126,8 +143,7 @@ def _schema_blocks(
     superposed: bool,
 ) -> np.ndarray:
     # replicates are mapped in fixed blocks of indices, whatever jobs is
-    if replicates < 1:
-        raise UsageError(f"replicates must be positive, got {replicates}")
+    check_sizes(replicates=replicates)
     draw = functools.partial(
         _schema_block,
         block_size=_SCHEMA_BLOCK,
@@ -183,21 +199,6 @@ def schema_samples(
     return _schema_blocks(model, n, copies, times, replicates, seed, jobs, kind, convention, superposed=True)
 
 
-def _motion_worker(
-    index: int,
-    copies: int,
-    times: tuple[float, ...],
-    hurst: float,
-    beta: float,
-    sigma: float,
-    m: int,
-    bins: int,
-    seed: int,
-) -> np.ndarray:
-    model = ModelParams(hurst=hurst, beta=beta, sigma=sigma)
-    return sample_stable_motion(copies, times, model, m, bins, stream_key(seed, index))
-
-
 def stable_motion_samples(
     model: ModelParams,
     copies: int,
@@ -212,16 +213,16 @@ def stable_motion_samples(
 
     ``copies = 1`` gives raw local-time stable integrals.
     """
+    # replicate r is sample_stable_motion seeded by stream_key(seed, r)
     worker = functools.partial(
-        _motion_worker,
+        _replicate_worker,
+        statistic=sample_stable_motion,
+        seed=seed,
         copies=copies,
         times=tuple(float(t) for t in times),
-        hurst=model.hurst,
-        beta=model.beta,
-        sigma=model.sigma,
+        model=model,
         m=m,
         bins=bins,
-        seed=seed,
     )
     return np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
 
@@ -229,10 +230,8 @@ def stable_motion_samples(
 # --- occupation scaling -------------------------------------------------
 
 
-def _scaling_worker(
-    index: int, horizons: tuple[int, ...], hurst: float, seed: int, convention: str
-) -> np.ndarray:
-    walk = sample_walk(max(horizons), hurst, spawn_rng(seed, index, ROLE_WALK))
+def _occupation_stats(walk: WalkPath, horizons: tuple[int, ...], convention: str) -> np.ndarray:
+    """V, R and the maximum local time of the walk at each horizon, one row per horizon."""
     profiles = local_time_profiles(walk, horizons, convention)
     return np.asarray(
         [
@@ -271,6 +270,17 @@ class ScalingResult:
         pick = [self.horizons.index(n) for n in self.median_grid]
         return self.median_scaled[pick]
 
+    def windows(self) -> dict[str, bool]:
+        """Each acceptance window by name, and whether it holds: the V and R
+        slopes within ``SLOPE_TOLERANCE`` of 2 - H and H, and a strictly
+        decreasing median ladder."""
+        v_deviation = abs(self.v_fit.slope - (2.0 - self.hurst))
+        return {
+            f"V slope within {SLOPE_TOLERANCE:g} of 2 - H": v_deviation <= SLOPE_TOLERANCE,
+            f"R slope within {SLOPE_TOLERANCE:g} of H": abs(self.r_fit.slope - self.hurst) <= SLOPE_TOLERANCE,
+            "median ladder decreasing": bool(np.all(np.diff(self.median_ladder()) < 0.0)),
+        }
+
 
 def scaling_experiment(
     hurst: float,
@@ -294,7 +304,8 @@ def scaling_experiment(
     horizons = tuple(sorted(set(slope_grid) | set(median_grid)))
     delta = delta_exponent(hurst, beta)
     worker = functools.partial(
-        _scaling_worker, horizons=horizons, hurst=hurst, seed=seed, convention=convention
+        _replicate_worker, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst,
+        horizons=horizons, convention=convention,
     )
     raw = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
     v, r, top = raw[:, :, 0], raw[:, :, 1], raw[:, :, 2]
@@ -323,20 +334,15 @@ def scaling_experiment(
 # --- discrete functional against the limit energy -----------------------
 
 
-def _functional_worker(
-    index: int,
+def _walk_functional(
+    walk: WalkPath,
+    horizons: tuple[int, ...],
     n: int,
     thetas: tuple[float, ...],
     times: tuple[float, ...],
-    hurst: float,
-    beta: float,
-    sigma: float,
-    seed: int,
+    model: ModelParams,
     convention: str,
 ) -> float:
-    model = ModelParams(hurst=hurst, beta=beta, sigma=sigma)
-    horizons = [int(np.floor(n * t + 1e-9)) for t in times]
-    walk = sample_walk(max(max(horizons), 1), hurst, spawn_rng(seed, index, ROLE_WALK))
     profiles = local_time_profiles(walk, horizons, convention)
     return local_time_functional([profiles[h] for h in horizons], thetas, times, n, model)
 
@@ -375,15 +381,19 @@ def functional_experiment(
     and, from disjoint streams, the beta-energy of fBm local time; the
     two samples are compared by KS distance and by relative mean error.
     """
+    times = tuple(float(t) for t in times)
+    horizons = tuple(int(np.floor(n * t + 1e-9)) for t in times)
     worker = functools.partial(
-        _functional_worker,
+        _replicate_worker,
+        statistic=_walk_functional,
+        seed=seed,
+        steps=max(max(horizons), 1),
+        hurst=model.hurst,
+        horizons=horizons,
         n=n,
         thetas=tuple(float(x) for x in thetas),
-        times=tuple(float(t) for t in times),
-        hurst=model.hurst,
-        beta=model.beta,
-        sigma=model.sigma,
-        seed=seed,
+        times=times,
+        model=model,
         convention=convention,
     )
     discrete = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
@@ -410,8 +420,7 @@ class EcfCheckResult:
     estimate: EcfEstimate
     target: np.ndarray
     target_se: np.ndarray
-    z: np.ndarray
-    max_abs_z: float
+    comparison: CfComparison
     samples: np.ndarray
     energy_mean: float
     energy_se: float
@@ -420,7 +429,7 @@ class EcfCheckResult:
         return [
             (float(u), float(re), float(se), float(tg), float(z))
             for u, re, se, tg, z in zip(
-                self.estimate.u, self.estimate.re, self.estimate.se, self.target, self.z
+                self.estimate.u, self.estimate.re, self.estimate.se, self.target, self.comparison.z
             )
         ]
 
@@ -440,13 +449,11 @@ def _ecf_check(
     )
     estimate = ecf(samples, u)
     target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
-    comparison = cf_compare(estimate, target, target_se)
     return EcfCheckResult(
         estimate=estimate,
         target=target,
         target_se=target_se,
-        z=comparison.z,
-        max_abs_z=comparison.max_abs_z,
+        comparison=cf_compare(estimate, target, target_se),
         samples=samples,
         energy_mean=energy_mean,
         energy_se=energy_se,

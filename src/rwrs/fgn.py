@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
+from .model import check_hurst, check_sizes
 
 __all__ = ["fgn_covariance", "sample_fgn", "sample_walk", "WalkPath", "sample_fbm", "FbmGrid"]
 
@@ -45,14 +46,9 @@ _EIG_TOL = 1e-9
 _ROW_BLOCK = 4
 
 
-def _check_hurst(hurst: float) -> None:
-    if not 0.0 < hurst < 1.0:
-        raise UsageError(f"hurst must lie in (0, 1), got {hurst}")
-
-
 def fgn_covariance(lag, hurst: float) -> np.ndarray:
     """Covariance r(k) of fractional Gaussian noise at integer lags."""
-    _check_hurst(hurst)
+    check_hurst(hurst)
     k = np.abs(np.asarray(lag, dtype=np.float64))
     two_h = 2.0 * hurst
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
@@ -121,9 +117,8 @@ def _fgn_blocks(
     path its generator gives alone.  A yielded block is a view of a
     workspace that the next block overwrites.
     """
-    _check_hurst(hurst)
-    if n < 1:
-        raise UsageError(f"n must be a positive integer, got {n}")
+    check_hurst(hurst)
+    check_sizes(n=n)
     rows = max(min(len(rngs), _ROW_BLOCK), 1)
     if hurst == 0.5:
         lead = 1 if walk else 0
@@ -232,14 +227,10 @@ class FbmGrid:
 
 
 def _grid_steps(m: int, horizon: float) -> int:
-    if m < 2:
-        raise UsageError(f"m must be at least 2, got {m}")
-    if horizon <= 0.0:
-        raise UsageError(f"horizon must be positive, got {horizon}")
-    steps = int(np.floor(m * horizon + 1e-9))
-    if steps < 1:
-        raise UsageError(f"horizon {horizon} shorter than one grid step 1/{m}")
-    return steps
+    check_sizes(m=m)
+    if not 1.0 <= m * horizon + 1e-9 < np.inf:
+        raise UsageError(f"horizon {horizon} is not finite or shorter than one grid step 1/{m}")
+    return int(np.floor(m * horizon + 1e-9))
 
 
 def _fbm_blocks(

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fgn import FbmGrid, _fbm_blocks
-from .model import ModelParams
+from .model import ModelParams, check_beta, check_error_replicates, check_sizes, check_times
 from .stable import StableParams, _stable_rows
 from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, block_streams, replicate_map
 
@@ -53,19 +53,6 @@ __all__ = [
     "sample_local_time_integral",
     "sample_stable_motion",
 ]
-
-
-def _check_times(times, horizon: float) -> np.ndarray:
-    times = np.asarray([float(t) for t in times], dtype=np.float64)
-    if times.size == 0:
-        raise UsageError("times must not be empty")
-    if times[0] < 0.0:
-        raise UsageError(f"times must be nonnegative, got {times[0]}")
-    if np.any(np.diff(times) <= 0.0):
-        raise UsageError(f"times must be strictly increasing, got {times.tolist()}")
-    if times[-1] > horizon + 1e-12:
-        raise UsageError(f"time {times[-1]} beyond path horizon {horizon}")
-    return times
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,11 +74,6 @@ class LocalTimeGrid:
     @property
     def bins(self) -> int:
         return self.densities.shape[1]
-
-
-def _check_bins(bins: int) -> None:
-    if bins < 3:
-        raise UsageError(f"bins must be at least 3, got {bins}")
 
 
 def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> list[LocalTimeGrid]:
@@ -134,15 +116,14 @@ def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> lis
 
 def fbm_local_time(path: FbmGrid, times: Sequence[float], bins: int) -> LocalTimeGrid:
     """Estimate the local time field of a gridded path by box counting."""
-    _check_bins(bins)
-    times = _check_times(times, path.horizon)
+    check_sizes(bins=bins)
+    times = np.asarray(check_times(times, path.horizon))
     return _box_counts(path.values[np.newaxis].copy(), path.m, times, bins)[0]
 
 
 def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta: float) -> float:
     """Beta-energy int |sum_j theta_j L_{t_j}(x)|**beta dx of a grid."""
-    if not 0.0 < beta <= 2.0:
-        raise UsageError(f"beta must lie in (0, 2], got {beta}")
+    check_beta(beta)
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape != (grid.densities.shape[0],):
         raise UsageError("need one theta per grid time")
@@ -190,15 +171,13 @@ def power_integral_draws(
     indices, whatever ``jobs`` is, and each block's paths are drawn and
     box-counted a block of rows at a time.
     """
-    if replicates < 1:
-        raise UsageError(f"replicates must be positive, got {replicates}")
-    _check_bins(bins)
+    check_sizes(replicates=replicates, bins=bins)
     draw = functools.partial(
         _power_integral_block,
         hurst=hurst,
         beta=beta,
         thetas=tuple(float(x) for x in thetas),
-        times=tuple(_check_times(times, np.inf).tolist()),
+        times=check_times(times),
         m=m,
         bins=bins,
         replicates=replicates,
@@ -224,8 +203,7 @@ def estimate_power_integral_mean(
     This is the scalar that parametrizes the limit characteristic
     function at one time slice.
     """
-    if replicates < 2:
-        raise UsageError(f"replicates must be at least 2, got {replicates}")
+    check_error_replicates("replicates", replicates)
     values = power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(replicates))
 
@@ -292,10 +270,8 @@ def sample_stable_motion(
     box-counted and integrated a block of rows at a time, each copy
     from its own streams, with the same values as one copy at a time.
     """
-    if copies < 1:
-        raise UsageError(f"copies must be a positive integer, got {copies}")
-    _check_bins(bins)
-    times = _check_times(times, np.inf)
+    check_sizes(copies=copies, bins=bins)
+    times = np.asarray(check_times(times))
     noise = StableParams(beta=model.beta, sigma=model.sigma)
     rows = np.empty((copies, times.size), dtype=np.float64)
     (walks, noises), _ = block_streams(seed, range(copies), rngs=(ROLE_WALK, ROLE_NOISE))

@@ -20,11 +20,11 @@ is the sum of the stretches' rewards up to it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import MissingSceneryError, UsageError
+from .errors import UsageError
 from .fgn import WalkPath
 from .model import ModelParams
 from .stable import Scenery
@@ -32,7 +32,6 @@ from .stable import Scenery
 __all__ = [
     "site_of",
     "LocalTimeProfile",
-    "local_times",
     "local_time_profiles",
     "max_local_time",
     "self_intersections",
@@ -47,7 +46,7 @@ __all__ = [
 SITE_CEIL = "ceil"
 SITE_FLOOR = "floor"
 
-SceneryLike = Union[Scenery, Mapping[int, float], Callable[[np.ndarray], np.ndarray]]
+SceneryLike = Union[Scenery, Callable[[np.ndarray], np.ndarray]]
 
 
 def site_of(position, convention: str = SITE_CEIL) -> np.ndarray:
@@ -80,20 +79,12 @@ def _check_horizon(path: WalkPath, n) -> int:
     return n
 
 
-def local_times(path: WalkPath, n: int | None = None, convention: str = SITE_CEIL) -> LocalTimeProfile:
-    """Occupation counts of the walk over steps 0..n (defaults to all)."""
-    n = _check_horizon(path, n)
-    sites, counts = np.unique(site_of(path.sums[: n + 1], convention), return_counts=True)
-    return LocalTimeProfile(n=n, sites=sites, counts=counts)
-
-
 def local_time_profiles(
     path: WalkPath, horizons: Sequence[int], convention: str = SITE_CEIL
 ) -> dict[int, LocalTimeProfile]:
-    """Occupation profiles at several horizons of one path, in one sweep.
+    """Occupation profiles of one path over steps 0..h for each horizon h, in one sweep.
 
-    Equivalent to ``{h: local_times(path, h) for h in horizons}`` but
-    counts each step once, which matters when horizons ladder up a
+    Counts each step once, which matters when horizons ladder up a
     single long path.
     """
     horizons = sorted({_check_horizon(path, h) for h in horizons})
@@ -130,11 +121,6 @@ def range_count(profile: LocalTimeProfile) -> int:
 def _scenery_values(scenery: SceneryLike, sites: np.ndarray) -> np.ndarray:
     if isinstance(scenery, Scenery):
         return scenery.values_at(sites)
-    if isinstance(scenery, Mapping):
-        try:
-            return np.asarray([scenery[int(s)] for s in sites], dtype=np.float64)
-        except KeyError as exc:
-            raise MissingSceneryError(f"no scenery value at site {exc.args[0]}") from exc
     return np.asarray(scenery(sites), dtype=np.float64)
 
 
@@ -154,9 +140,8 @@ def reward_series(
 ) -> RewardSeries:
     """Accumulate scenery rewards along the walk.
 
-    ``scenery`` may be a keyed ``Scenery``, a mapping from sites to
-    values (which must cover every visited site), or a callable taking
-    a site array.  Each visited site's value is looked up once.
+    ``scenery`` may be a keyed ``Scenery`` or a callable taking a site
+    array.  Each visited site's value is looked up once.
     """
     n = _check_horizon(path, n)
     visited, step_site = np.unique(site_of(path.sums[: n + 1], convention), return_inverse=True)

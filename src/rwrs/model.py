@@ -1,4 +1,4 @@
-"""Model parameter bundles shared by the walk, scenery and limit layers.
+"""Model parameter bundles and the one definition of each parameter domain.
 
 The model couples a memory parameter ``hurst`` (H) for the Gaussian walk
 with a tail index ``beta`` and scale ``sigma`` for the scenery.  The
@@ -9,22 +9,83 @@ normalization exponent for cumulative rewards,
 is derived once here and reused everywhere; it is the unique exponent
 that balances the walk's range growth (order n**H sites, each visited
 about n**(1-H) times) against the beta-stable scaling of site rewards.
+
+Every layer checks its parameters with the ``check_*`` functions below,
+so each domain rule is written, and worded, in one place only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Iterable
 
 from .errors import UsageError
+
+# smallest value of each integer size: a grid needs two steps per unit
+# time, and a box count one bin inside its two guard bins
+_MINIMUM = {"n": 1, "copies": 1, "replicates": 1, "m": 2, "bins": 3}
+
+
+def check_hurst(hurst: float) -> None:
+    if not 0.0 < hurst < 1.0:
+        raise UsageError(f"hurst must lie in (0, 1), got {hurst}")
+
+
+def check_beta(beta: float) -> None:
+    if not 0.0 < beta <= 2.0:
+        raise UsageError(f"beta must lie in (0, 2], got {beta}")
+
+
+def check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise UsageError(f"sigma must be positive and finite, got {sigma}")
+
+
+def check_pareto_beta(beta: float) -> None:
+    """The pure x**-2 Pareto tail is not attracted to the Gaussian (``stable.pareto_scale``)."""
+    if beta >= 2.0:
+        raise UsageError(f"pareto scenery requires beta < 2, got {beta}")
+
+
+def check_sizes(**sizes: int) -> None:
+    """Each named size at least its minimum: n, copies and replicates 1, m 2, bins 3."""
+    for name, value in sizes.items():
+        if value < _MINIMUM[name]:
+            raise UsageError(f"{name} must be at least {_MINIMUM[name]}, got {value}")
+
+
+def check_error_replicates(name: str, replicates: int) -> None:
+    """A mean with a standard error needs two replicates."""
+    if replicates < 2:
+        raise UsageError(f"{name} must be at least 2, got {replicates}")
+
+
+def check_finite(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, every one finite."""
+    values = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{name} must be finite, got {list(values)}")
+    return values
+
+
+def check_times(times: Iterable[float], horizon: float = math.inf) -> tuple[float, ...]:
+    """Evaluation times as floats: nonempty, finite, nonnegative, strictly
+    increasing and at most ``horizon``."""
+    times = check_finite("times", times)
+    if not times:
+        raise UsageError("times must not be empty")
+    if times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise UsageError(f"times must be nonnegative and strictly increasing, got {list(times)}")
+    if times[-1] > horizon + 1e-12:
+        raise UsageError(f"time {times[-1]} beyond path horizon {horizon}")
+    return times
 
 
 def delta_exponent(hurst: float, beta: float) -> float:
     """Reward-sum normalization exponent ``1 - hurst + hurst / beta``."""
-    if not 0.0 < hurst < 1.0:
-        raise UsageError(f"hurst must lie in (0, 1), got {hurst}")
-    if not 0.0 < beta <= 2.0:
-        raise UsageError(f"beta must lie in (0, 2], got {beta}")
+    check_hurst(hurst)
+    check_beta(beta)
     return 1.0 - hurst + hurst / beta
 
 
@@ -38,21 +99,17 @@ class ModelParams:
     delta: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise UsageError(f"sigma must be positive and finite, got {self.sigma}")
-        delta = delta_exponent(self.hurst, self.beta)
-        # guard against mis-wiring: delta - (1 - H) = H/beta never exceeds 1/beta
-        assert 1.0 / self.beta >= delta - (1.0 - self.hurst) - 1e-12
-        object.__setattr__(self, "delta", delta)
+        check_sigma(self.sigma)
+        object.__setattr__(self, "delta", delta_exponent(self.hurst, self.beta))
 
 
 @dataclasses.dataclass(frozen=True)
 class SchemaConfig:
     """Sizes for the superposition schema: walk length and copy count.
 
-    ``times`` are the rescaled evaluation times; they must be finite,
-    sorted, strictly increasing and nonnegative so that every consumer
-    can rely on a canonical ordering.
+    ``times`` are the rescaled evaluation times, checked by
+    ``check_times`` so that every consumer can rely on a canonical
+    ordering.
     """
 
     n: int
@@ -60,17 +117,5 @@ class SchemaConfig:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise UsageError(f"n must be a positive integer, got {self.n}")
-        if self.copies < 1:
-            raise UsageError(f"copies must be a positive integer, got {self.copies}")
-        times = tuple(float(t) for t in self.times)
-        if len(times) == 0:
-            raise UsageError("times must not be empty")
-        if not all(math.isfinite(t) for t in times):
-            raise UsageError(f"times must be finite, got {times}")
-        if times[0] < 0.0:
-            raise UsageError(f"times must be nonnegative, got {times[0]}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise UsageError(f"times must be strictly increasing, got {times}")
-        object.__setattr__(self, "times", times)
+        check_sizes(n=self.n, copies=self.copies)
+        object.__setattr__(self, "times", check_times(self.times))

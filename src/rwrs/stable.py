@@ -22,14 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .model import check_beta, check_pareto_beta, check_sigma
 
 __all__ = [
     "StableParams",
     "SceneryKind",
     "Scenery",
     "sample_stable",
-    "sample_scenery",
     "theoretical_cf",
     "pareto_scale",
 ]
@@ -48,10 +47,8 @@ class StableParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta <= 2.0:
-            raise UsageError(f"beta must lie in (0, 2], got {self.beta}")
-        if self.sigma <= 0.0:
-            raise UsageError(f"sigma must be positive, got {self.sigma}")
+        check_beta(self.beta)
+        check_sigma(self.sigma)
 
 
 class SceneryKind(enum.Enum):
@@ -116,8 +113,7 @@ def pareto_scale(params: StableParams) -> float:
     norming and beta = 2 is rejected for this scenery kind.
     """
     beta = params.beta
-    if beta >= 2.0:
-        raise UsageError("symmetric Pareto scenery requires beta < 2")
+    check_pareto_beta(beta)
     if beta == 1.0:
         c = 2.0 / math.pi
     else:
@@ -220,10 +216,3 @@ class Scenery:
 
     def __getitem__(self, site: int) -> float:
         return float(self.values_at(np.asarray([site]))[0])
-
-
-def sample_scenery(kind: SceneryKind, params: StableParams, sites, key: int) -> dict[int, float]:
-    """Materialize scenery values on a finite site set as a plain dict."""
-    site_arr = np.asarray(sorted(int(s) for s in set(sites)), dtype=np.int64)
-    values = Scenery(kind, params, key).values_at(site_arr)
-    return {int(s): float(v) for s, v in zip(site_arr, values)}

@@ -18,6 +18,9 @@ from .errors import NumericalError, UsageError
 
 __all__ = ["EcfEstimate", "ecf", "CfComparison", "cf_compare", "SlopeFit", "slope_fit", "ks_distance"]
 
+# acceptance window of a CF comparison: max|z| at most 3
+Z_WINDOW = 3.0
+
 
 @dataclasses.dataclass(frozen=True)
 class EcfEstimate:
@@ -60,12 +63,16 @@ def ecf(samples, u) -> EcfEstimate:
 class CfComparison:
     """Z-scores of an ECF against a target curve with its own error.
 
-    ``flagged`` marks the frequencies where |z| exceeds 3.
+    ``flagged`` marks the frequencies where |z| exceeds ``Z_WINDOW``.
     """
 
     z: np.ndarray
     max_abs_z: float
     flagged: np.ndarray
+
+    def windows(self) -> dict[str, bool]:
+        """Each acceptance window by name, and whether it holds."""
+        return {f"max|z| <= {Z_WINDOW:g}": self.max_abs_z <= Z_WINDOW}
 
 
 def cf_compare(estimate: EcfEstimate, target, target_se=None) -> CfComparison:
@@ -89,7 +96,7 @@ def cf_compare(estimate: EcfEstimate, target, target_se=None) -> CfComparison:
     if np.any(exact & (deviation != 0.0)):
         raise NumericalError("nonzero ECF deviation with zero combined standard error")
     z = np.where(exact, 0.0, deviation / np.where(exact, 1.0, combined))
-    return CfComparison(z=z, max_abs_z=float(np.max(np.abs(z))), flagged=np.abs(z) > 3.0)
+    return CfComparison(z=z, max_abs_z=float(np.max(np.abs(z))), flagged=np.abs(z) > Z_WINDOW)
 
 
 @dataclasses.dataclass(frozen=True)

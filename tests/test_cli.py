@@ -5,6 +5,7 @@ touches exit codes, streams, or byte-level determinism runs the real
 ``python -m rwrs`` in a subprocess.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -237,6 +238,33 @@ def test_cli_ecf_check_assert_exit_codes():
     lines = [l for l in passing.stdout.splitlines() if not l.startswith("#")]
     assert lines[0] == "u,ecf_re,ecf_se,target,z"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "command, runner, break_result, window",
+    [
+        ("scaling", "scaling_experiment",
+         lambda r: dataclasses.replace(r, v_fit=dataclasses.replace(r.v_fit, slope=9.0)),
+         "V slope within 0.1 of 2 - H"),
+        ("ecf-check", "schema_ecf_check",
+         lambda r: dataclasses.replace(r, comparison=dataclasses.replace(r.comparison, max_abs_z=7.0)),
+         "max|z| <= 3"),
+    ],
+)
+def test_cli_assert_names_the_failed_window(command, runner, break_result, window, monkeypatch, capsys):
+    from rwrs import cli as cli_mod
+
+    real = getattr(cli_mod, runner)
+    monkeypatch.setattr(cli_mod, runner, lambda *a, **k: break_result(real(*a, **k)))
+    args = [command, *_SMALL, "--replicates", "4"]
+    assert main([*args, "--assert"]) == 3
+    failed = capsys.readouterr()
+    assert f"; failed: {window}" in failed.err
+    # without --assert the run succeeds, names the same window and writes the same CSV
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == failed.err
+    assert plain.out == failed.out
 
 
 def test_cli_seed_sources_agree():

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from rwrs import (
-    MissingSceneryError,
     ModelParams,
     RewardSeries,
     UsageError,
     interpolate,
     local_time_functional,
-    local_times,
     local_time_profiles,
     max_local_time,
     occupation_reward,
@@ -22,6 +20,17 @@ from rwrs import (
 )
 from rwrs.local_times import SITE_CEIL, SITE_FLOOR
 from rwrs.streams import spawn_rng
+
+
+def profile_at(path, n=None, convention=SITE_CEIL):
+    """The occupation profile of ``path`` over steps 0..n (all steps by default)."""
+    n = path.n if n is None else n
+    return local_time_profiles(path, [n], convention)[n]
+
+
+def table_scenery(table):
+    """A scenery callable looking each site up in a dict."""
+    return lambda sites: np.asarray([table[int(s)] for s in sites], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +63,7 @@ def test_site_of_returns_integer_dtype():
 
 def test_constant_path_occupies_single_site(make_path):
     path = make_path([0.0, 0.0, 0.0, 0.0])
-    profile = local_times(path)
+    profile = profile_at(path)
     np.testing.assert_array_equal(profile.sites, [0])
     np.testing.assert_array_equal(profile.counts, [4])
     assert max_local_time(profile) == 4
@@ -64,7 +73,7 @@ def test_constant_path_occupies_single_site(make_path):
 
 def test_three_distinct_sites(make_path):
     path = make_path([0.0, 0.5, 1.2])
-    profile = local_times(path)
+    profile = profile_at(path)
     np.testing.assert_array_equal(profile.sites, [0, 1, 2])
     np.testing.assert_array_equal(profile.counts, [1, 1, 1])
     assert max_local_time(profile) == 1
@@ -74,7 +83,7 @@ def test_three_distinct_sites(make_path):
 
 def test_partial_horizon_counts(make_path):
     path = make_path([0.0, 0.5, 1.2, 0.4])
-    profile = local_times(path, n=1)
+    profile = profile_at(path, n=1)
     assert profile.n == 1
     np.testing.assert_array_equal(profile.sites, [0, 1])
     np.testing.assert_array_equal(profile.counts, [1, 1])
@@ -83,14 +92,14 @@ def test_partial_horizon_counts(make_path):
 def test_horizon_validation(make_path):
     path = make_path([0.0, 1.0])
     with pytest.raises(UsageError):
-        local_times(path, n=2)
+        profile_at(path, n=2)
     with pytest.raises(UsageError):
-        local_times(path, n=-1)
+        profile_at(path, n=-1)
 
 
 def test_floor_convention_changes_counts(make_path):
     path = make_path([0.0, 0.5, 1.2])
-    profile = local_times(path, convention=SITE_FLOOR)
+    profile = profile_at(path, convention=SITE_FLOOR)
     np.testing.assert_array_equal(profile.sites, [0, 1])
     np.testing.assert_array_equal(profile.counts, [2, 1])
 
@@ -103,7 +112,7 @@ def test_floor_convention_changes_counts(make_path):
 def test_counts_sum_to_steps_taken():
     walk = sample_walk(512, 0.7, spawn_rng(32))
     for n in (0, 1, 17, 256, 512):
-        profile = local_times(walk, n=n)
+        profile = profile_at(walk, n=n)
         assert profile.counts.sum() == n + 1
         assert profile.counts.min() >= 1
         assert np.all(np.diff(profile.sites) > 0)
@@ -126,9 +135,9 @@ def test_batch_profiles_match_single_calls():
     batch = local_time_profiles(walk, horizons)
     assert sorted(batch) == horizons
     for h in horizons:
-        single = local_times(walk, n=h)
-        np.testing.assert_array_equal(batch[h].sites, single.sites)
-        np.testing.assert_array_equal(batch[h].counts, single.counts)
+        sites, counts = np.unique(site_of(walk.sums[: h + 1]), return_counts=True)
+        np.testing.assert_array_equal(batch[h].sites, sites)
+        np.testing.assert_array_equal(batch[h].counts, counts)
 
 
 def test_batch_profiles_deduplicate_horizons():
@@ -141,7 +150,7 @@ def test_counting_inequalities():
     # Cauchy-Schwarz: (n+1)**2 <= V_n * R_n, and V_n <= L_n * (n+1).
     for i in range(20):
         walk = sample_walk(400, 0.55, spawn_rng(36, i))
-        profile = local_times(walk)
+        profile = profile_at(walk)
         n1 = profile.counts.sum()
         v = self_intersections(profile)
         assert v * range_count(profile) >= n1**2
@@ -157,7 +166,7 @@ def test_self_intersection_mean_matches_local_time_energy():
     vals = np.empty(replicates)
     for i in range(replicates):
         walk = sample_walk(n, 0.5, spawn_rng(31, i))
-        vals[i] = self_intersections(local_times(walk)) * float(n) ** (-1.5)
+        vals[i] = self_intersections(profile_at(walk)) * float(n) ** (-1.5)
     target = 8.0 / (3.0 * np.sqrt(2.0 * np.pi))
     assert abs(vals.mean() - target) / target <= 0.10
 
@@ -182,7 +191,7 @@ def test_reward_series_constant_scenery():
 
 def test_reward_series_zero_scenery_stays_zero(make_path):
     path = make_path([0.0, -0.4, 0.9])
-    series = reward_series(path, {0: 0.0, 1: 0.0})
+    series = reward_series(path, table_scenery({0: 0.0, 1: 0.0}))
     np.testing.assert_array_equal(series.values, np.zeros(3))
 
 
@@ -190,9 +199,9 @@ def test_reward_series_matches_count_weighted_sum():
     # Z_n must equal sum_x N_n(x) xi(x) whatever the scenery.
     walk = sample_walk(333, 0.65, spawn_rng(38))
     rng = spawn_rng(39)
-    profile = local_times(walk)
+    profile = profile_at(walk)
     table = {int(s): float(v) for s, v in zip(profile.sites, rng.standard_normal(profile.sites.size))}
-    series = reward_series(walk, table)
+    series = reward_series(walk, table_scenery(table))
     direct = sum(table[int(s)] * int(c) for s, c in zip(profile.sites, profile.counts))
     assert series.values[-1] == pytest.approx(direct, rel=1e-12)
 
@@ -205,14 +214,14 @@ def test_occupation_reward_adds_counts_times_values_site_by_site(make_path):
     expect = 0.0
     for site, count in ((0, 1), (1, 3), (2, 1)):
         expect += count * table[site]
-    assert occupation_reward(local_times(path), table) == expect
+    assert occupation_reward(profile_at(path), table_scenery(table)) == expect
 
 
 def test_occupation_reward_matches_reward_series():
     walk = sample_walk(333, 0.65, spawn_rng(46))
     scenery = lambda sites: np.cos(1.7 * sites)
     for h in (0, 1, 100, 333):
-        profile = local_times(walk, n=h)
+        profile = profile_at(walk, n=h)
         step_by_step = reward_series(walk, scenery, n=h).values[-1]
         assert occupation_reward(profile, scenery) == pytest.approx(step_by_step, rel=1e-12, abs=1e-12)
 
@@ -228,17 +237,12 @@ def test_reward_series_is_linear_in_scenery():
     np.testing.assert_allclose(zc, 2.0 * za - 0.5 * zb, rtol=1e-12, atol=1e-12)
 
 
-def test_reward_series_mapping_must_cover_visited_sites(make_path):
-    path = make_path([0.0, 1.5])
-    with pytest.raises(MissingSceneryError):
-        reward_series(path, {0: 1.0})
-
-
 def test_reward_series_respects_horizon_and_convention(make_path):
     path = make_path([0.0, 0.5, 1.2])
-    series = reward_series(path, {0: 1.0, 1: 10.0}, n=1)
+    scenery = table_scenery({0: 1.0, 1: 10.0})
+    series = reward_series(path, scenery, n=1)
     np.testing.assert_array_equal(series.values, [1.0, 11.0])
-    floor_series = reward_series(path, {0: 1.0, 1: 10.0}, convention=SITE_FLOOR)
+    floor_series = reward_series(path, scenery, convention=SITE_FLOOR)
     np.testing.assert_array_equal(floor_series.values, [1.0, 2.0, 12.0])
 
 
@@ -298,7 +302,7 @@ def test_functional_reduces_to_self_intersections():
     # beta = 2, single time t = 1: the statistic is n**(-2 delta) V_n.
     model = ModelParams(hurst=0.5, beta=2.0)
     walk = sample_walk(250, 0.5, spawn_rng(42))
-    profile = local_times(walk)
+    profile = profile_at(walk)
     got = local_time_functional([profile], [1.0], [1.0], 250, model)
     expected = 250.0 ** (-2.0 * model.delta) * self_intersections(profile)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -310,7 +314,7 @@ def test_functional_matches_bruteforce_two_times():
     walk = sample_walk(n, 0.7, spawn_rng(43))
     times = (0.5, 1.0)
     horizons = [int(np.floor(n * t + 1e-9)) for t in times]
-    profiles = [local_times(walk, n=h) for h in horizons]
+    profiles = [profile_at(walk, n=h) for h in horizons]
     thetas = (0.8, -1.3)
 
     acc: dict[int, float] = {}
@@ -328,15 +332,15 @@ def test_functional_matches_bruteforce_two_times():
 def test_functional_zero_thetas_gives_zero():
     model = ModelParams(hurst=0.6, beta=1.0)
     walk = sample_walk(100, 0.6, spawn_rng(44))
-    profile = local_times(walk)
+    profile = profile_at(walk)
     assert local_time_functional([profile], [0.0], [1.0], 100, model) == 0.0
 
 
 def test_functional_validates_alignment():
     model = ModelParams(hurst=0.5, beta=2.0)
     walk = sample_walk(100, 0.5, spawn_rng(45))
-    profile = local_times(walk)
-    half = local_times(walk, n=50)
+    profile = profile_at(walk)
+    half = profile_at(walk, n=50)
     with pytest.raises(UsageError):
         local_time_functional([profile], [1.0, 2.0], [1.0], 100, model)
     with pytest.raises(UsageError):

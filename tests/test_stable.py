@@ -9,7 +9,6 @@ from rwrs.stable import (
     SceneryKind,
     StableParams,
     pareto_scale,
-    sample_scenery,
     sample_stable,
     theoretical_cf,
 )
@@ -107,10 +106,6 @@ def test_stability_under_pairwise_sums(beta):
     assert cf_compare(estimate, theoretical_cf(estimate.u, p)).max_abs_z <= 3.0
 
 
-def test_sample_scenery_empty_sites():
-    assert sample_scenery(SceneryKind.EXACT_STABLE, StableParams(beta=1.5), [], key=7) == {}
-
-
 def test_scenery_determinism_and_key_independence():
     p = StableParams(beta=1.5, sigma=1.0)
     sites = np.arange(-50, 50)
@@ -126,15 +121,6 @@ def test_scenery_getitem_matches_bulk():
     scenery = Scenery(SceneryKind.EXACT_STABLE, StableParams(beta=1.2), key=5)
     bulk = scenery.values_at([-3, 0, 11])
     assert [scenery[-3], scenery[0], scenery[11]] == pytest.approx(list(bulk), rel=0)
-
-
-def test_sample_scenery_matches_lazy_field():
-    p = StableParams(beta=1.5)
-    mapping = sample_scenery(SceneryKind.SYMMETRIC_PARETO, p, {3, -1, 3, 8}, key=21)
-    scenery = Scenery(SceneryKind.SYMMETRIC_PARETO, p, key=21)
-    assert set(mapping) == {-1, 3, 8}
-    for site, value in mapping.items():
-        assert value == scenery[site]
 
 
 @pytest.mark.parametrize("kind", list(SceneryKind))
