@@ -1,11 +1,12 @@
 """Replicate-level Monte Carlo drivers shared by the CLI and the tests.
 
-Each experiment fans a module-level worker out over replicate indices, or
-over fixed blocks of them, via ``streams.replicate_map`` and reduces the
-per-replicate results in index order, so every experiment is a pure
-function of (config, seed) regardless of worker count.  Monte Carlo
-means rely on numpy's pairwise summation, which keeps rounding error
-logarithmic in the number of heavy-tailed terms.
+Every experiment maps a module-level worker over fixed blocks of
+replicate indices via ``streams.replicate_blocks``, with the stream
+layout set out there, and reduces the per-replicate rows in index
+order, so every experiment is a pure function of (config, seed)
+regardless of worker count.  Monte Carlo means rely on numpy's pairwise
+summation, which keeps rounding error logarithmic in the number of
+heavy-tailed terms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fgn import WalkPath, sample_walk
+from .fgn import WalkPath, _walk_paths
 from .local_times import (
     SITE_CEIL,
     local_time_functional,
@@ -26,11 +27,11 @@ from .local_times import (
     self_intersections,
 )
 from .limit import estimate_power_integral_mean, limit_cf_target, power_integral_draws, sample_stable_motion
-from .model import ModelParams, SchemaConfig, check_sizes, delta_exponent
+from .model import ModelParams, SchemaConfig, check_error_replicates, delta_exponent, grid_floor
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind
 from .stats import CfComparison, EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
-from .streams import ROLE_WALK, replicate_map, spawn_rng, stream_key, stream_words
+from .streams import ROLE_WALK, SeededRngs, replicate_blocks, stream_words
 
 __all__ = [
     "WalkVarianceResult",
@@ -57,23 +58,15 @@ MEDIAN_GRID = (2**8, 2**10, 2**12, 2**14)
 # 0.1 of its target
 SLOPE_TOLERANCE = 0.1
 
-# replicate indices per schema task: blocks do not depend on the worker count
-_SCHEMA_BLOCK = 16
 
+def _walk_block(indices: np.ndarray, statistic: Callable, seed: int, steps: int, hurst: float, **params):
+    """``statistic(walk, **params)`` of the walk of each replicate in ``indices``, one row each.
 
-def _replicate_worker(
-    index: int, statistic: Callable, seed: int, steps: int | None = None, hurst: float | None = None, **params
-):
-    """Replicate ``index`` of a per-index experiment, from its own streams.
-
-    With ``steps``, it is ``statistic(walk, **params)`` of the walk of that
-    many steps and Hurst index ``hurst`` drawn from the stream (seed,
-    index, walk role); without, ``statistic(seed=stream_key(seed, index),
-    **params)``.
+    Replicate r's walk of ``steps`` steps is drawn from the stream (seed,
+    r, walk role).
     """
-    if steps is not None:
-        return statistic(sample_walk(steps, hurst, spawn_rng(seed, index, ROLE_WALK)), **params)
-    return statistic(seed=stream_key(seed, index), **params)
+    walks = _walk_paths(steps, hurst, SeededRngs(stream_words(seed, indices, ROLE_WALK)))
+    return np.asarray([statistic(walk, **params) for walk in walks], dtype=np.float64)
 
 
 # --- walk normalization -------------------------------------------------
@@ -96,8 +89,9 @@ class WalkVarianceResult:
 
 def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 1) -> WalkVarianceResult:
     """Sample variance of S_n against the exact value n**(2*hurst)."""
-    worker = functools.partial(_replicate_worker, statistic=_final_position, seed=seed, steps=n, hurst=hurst)
-    finals = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    check_error_replicates("replicates", replicates)
+    worker = functools.partial(_walk_block, statistic=_final_position, seed=seed, steps=n, hurst=hurst)
+    finals = replicate_blocks(worker, replicates, jobs)
     variance = float(finals.var(ddof=1))
     ratio = variance / float(n) ** (2.0 * hurst)
     # Gaussian sample variance has relative SD sqrt(2/(M-1))
@@ -112,51 +106,19 @@ def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 
 
 
 def _schema_block(
-    block: int,
-    block_size: int,
     config: SchemaConfig,
     model: ModelParams,
-    replicates: int,
     seed: int,
     kind: SceneryKind,
     convention: str,
     superposed: bool,
+    indices: np.ndarray,
 ) -> np.ndarray:
-    indices = np.arange(block * block_size, min((block + 1) * block_size, replicates), dtype=np.uint64)
     # replicate r draws the schema seeded by stream_key(seed, r)
     keys = stream_words(seed, indices)[:, 0]
     rows = _copy_rows(config, model, keys, range(config.copies), kind, None, convention)
     # superposed in the worker, so only (block, k) values travel back
     return superpose(rows, model.beta) if superposed else rows
-
-
-def _schema_blocks(
-    model: ModelParams,
-    n: int,
-    copies: int,
-    times: Sequence[float],
-    replicates: int,
-    seed: int,
-    jobs: int,
-    kind: SceneryKind,
-    convention: str,
-    superposed: bool,
-) -> np.ndarray:
-    # replicates are mapped in fixed blocks of indices, whatever jobs is
-    check_sizes(replicates=replicates)
-    draw = functools.partial(
-        _schema_block,
-        block_size=_SCHEMA_BLOCK,
-        config=SchemaConfig(n=n, copies=copies, times=tuple(times)),
-        model=model,
-        replicates=replicates,
-        seed=seed,
-        kind=kind,
-        convention=convention,
-        superposed=superposed,
-    )
-    blocks = -(-replicates // _SCHEMA_BLOCK)
-    return np.concatenate(replicate_map(draw, blocks, jobs=jobs))
 
 
 def schema_copy_samples(
@@ -175,7 +137,9 @@ def schema_copy_samples(
     ``superpose`` turns them into ``schema_samples``; its first c copies
     give the c-copy schema of the same replicates.
     """
-    return _schema_blocks(model, n, copies, times, replicates, seed, jobs, kind, convention, superposed=False)
+    config = SchemaConfig(n=n, copies=copies, times=tuple(times))
+    draw = functools.partial(_schema_block, config, model, seed, kind, convention, False)
+    return replicate_blocks(draw, replicates, jobs)
 
 
 def schema_samples(
@@ -196,7 +160,14 @@ def schema_samples(
     Each block of replicates is superposed where it is drawn, so memory
     does not grow with ``copies``.
     """
-    return _schema_blocks(model, n, copies, times, replicates, seed, jobs, kind, convention, superposed=True)
+    config = SchemaConfig(n=n, copies=copies, times=tuple(times))
+    draw = functools.partial(_schema_block, config, model, seed, kind, convention, True)
+    return replicate_blocks(draw, replicates, jobs)
+
+
+def _motion_block(indices: np.ndarray, seed: int, **params) -> np.ndarray:
+    keys = stream_words(seed, indices)[:, 0].tolist()
+    return np.asarray([sample_stable_motion(seed=key, **params) for key in keys], dtype=np.float64)
 
 
 def stable_motion_samples(
@@ -211,12 +182,11 @@ def stable_motion_samples(
 ) -> np.ndarray:
     """Independent draws of the limit-side superposition, shape (M, k).
 
-    ``copies = 1`` gives raw local-time stable integrals.
+    Replicate r is ``sample_stable_motion`` seeded by ``stream_key(seed,
+    r)``; ``copies = 1`` gives raw local-time stable integrals.
     """
-    # replicate r is sample_stable_motion seeded by stream_key(seed, r)
     worker = functools.partial(
-        _replicate_worker,
-        statistic=sample_stable_motion,
+        _motion_block,
         seed=seed,
         copies=copies,
         times=tuple(float(t) for t in times),
@@ -224,7 +194,7 @@ def stable_motion_samples(
         m=m,
         bins=bins,
     )
-    return np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    return replicate_blocks(worker, replicates, jobs)
 
 
 # --- occupation scaling -------------------------------------------------
@@ -299,15 +269,16 @@ def scaling_experiment(
     ``slope_grid``, the maximum local time a delta-rescaled median
     ladder over ``median_grid``.
     """
+    check_error_replicates("replicates", replicates)
     slope_grid = tuple(sorted(int(n) for n in slope_grid))
     median_grid = tuple(sorted(int(n) for n in median_grid))
     horizons = tuple(sorted(set(slope_grid) | set(median_grid)))
     delta = delta_exponent(hurst, beta)
     worker = functools.partial(
-        _replicate_worker, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst,
+        _walk_block, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst,
         horizons=horizons, convention=convention,
     )
-    raw = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    raw = replicate_blocks(worker, replicates, jobs)
     v, r, top = raw[:, :, 0], raw[:, :, 1], raw[:, :, 2]
     scale = np.asarray(horizons, dtype=np.float64) ** (-delta)
     root_m = np.sqrt(replicates)
@@ -381,10 +352,11 @@ def functional_experiment(
     and, from disjoint streams, the beta-energy of fBm local time; the
     two samples are compared by KS distance and by relative mean error.
     """
+    check_error_replicates("replicates", replicates)
     times = tuple(float(t) for t in times)
-    horizons = tuple(int(np.floor(n * t + 1e-9)) for t in times)
+    horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
-        _replicate_worker,
+        _walk_block,
         statistic=_walk_functional,
         seed=seed,
         steps=max(max(horizons), 1),
@@ -396,7 +368,7 @@ def functional_experiment(
         model=model,
         convention=convention,
     )
-    discrete = np.asarray(replicate_map(worker, replicates, jobs=jobs), dtype=np.float64)
+    discrete = replicate_blocks(worker, replicates, jobs)
     limit = power_integral_draws(
         model.hurst, model.beta, thetas, times, m, bins, replicates, seed, jobs=jobs
     )

@@ -24,19 +24,20 @@ its own generator, the weights of the whole block are built in place,
 and one multi-row inverse FFT transforms them, which costs markedly less
 per row than one FFT per path.  Every element sees the same arithmetic
 as when its path is drawn alone, so a row is byte for byte that path;
-``sample_fgn`` and ``sample_fbm`` are the one-row case.
+``sample_fgn``, ``sample_walk`` and ``sample_fbm`` are the one-row case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .model import check_hurst, check_sizes
+from .model import check_hurst, check_sizes, grid_floor
 
 __all__ = ["fgn_covariance", "sample_fgn", "sample_walk", "WalkPath", "sample_fbm", "FbmGrid"]
 
@@ -200,13 +201,21 @@ class WalkPath:
         return len(self.increments)
 
 
+def _walk_paths(n: int, hurst: float, rngs: Sequence[np.random.Generator]) -> Iterator[WalkPath]:
+    """The length-n walk of each generator in turn, its fGn drawn a block of rows at a time.
+
+    Each walk is byte for byte the one its generator gives alone.
+    """
+    for block in _fgn_blocks(n, hurst, rngs):
+        for increments in block:
+            sums = np.zeros(n + 1, dtype=np.float64)
+            np.cumsum(increments, out=sums[1:])
+            yield WalkPath(hurst=hurst, increments=increments.copy(), sums=sums)
+
+
 def sample_walk(n: int, hurst: float, rng: np.random.Generator) -> WalkPath:
     """Draw a length-n fractional Gaussian walk, S_0 = 0 included."""
-    increments = sample_fgn(n, hurst, rng)
-    sums = np.empty(n + 1, dtype=np.float64)
-    sums[0] = 0.0
-    np.cumsum(increments, out=sums[1:])
-    return WalkPath(hurst=hurst, increments=increments, sums=sums)
+    return next(_walk_paths(n, hurst, [rng]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,9 +237,10 @@ class FbmGrid:
 
 def _grid_steps(m: int, horizon: float) -> int:
     check_sizes(m=m)
-    if not 1.0 <= m * horizon + 1e-9 < np.inf:
+    steps = grid_floor(m * horizon) if math.isfinite(m * horizon) else 0
+    if steps < 1:
         raise UsageError(f"horizon {horizon} is not finite or shorter than one grid step 1/{m}")
-    return int(np.floor(m * horizon + 1e-9))
+    return steps
 
 
 def _fbm_blocks(

@@ -22,8 +22,9 @@ row's bins are offset onto their own slots so that one ``bincount`` per
 time counts the whole block, and the noises of a block go through one
 stable transform.  Each row gets the same bytes as one path at a time;
 ``fbm_local_time`` and ``sample_local_time_integral`` are the one-row
-case.  The oracle maps fixed blocks of replicate indices, so its output
-does not depend on the worker count.
+case.  The oracle maps fixed blocks of replicate indices through
+``streams.replicate_blocks``, so its output does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import numpy as np
 
 from .errors import UsageError
 from .fgn import FbmGrid, _fbm_blocks
-from .model import ModelParams, check_beta, check_error_replicates, check_sizes, check_times
+from .model import ModelParams, check_beta, check_error_replicates, check_sizes, check_times, grid_floor
 from .stable import StableParams, _stable_rows
-from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, block_streams, replicate_map
+from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, SeededRngs, replicate_blocks, stream_words
 
-# replicate indices per oracle task: blocks do not depend on the worker count
-_ORACLE_BLOCK = 16
+# the walk and noise roles of one copy's substreams
+_ROLES = np.array([ROLE_WALK, ROLE_NOISE], dtype=np.uint64)
 
 __all__ = [
     "LocalTimeGrid",
@@ -85,7 +86,7 @@ def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> lis
     overwritten; ``times`` must already be checked.
     """
     rows = len(values)
-    ends = np.floor(m * times + 1e-9).astype(np.int64)
+    ends = grid_floor(m * times)
     values = values[:, : ends[-1] + 1]
     low = values.min(axis=1)
     span = values.max(axis=1) - low
@@ -132,24 +133,22 @@ def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta
 
 
 def _power_integral_block(
-    block: int,
+    indices: np.ndarray,
     hurst: float,
     beta: float,
     thetas: tuple[float, ...],
     times: tuple[float, ...],
     m: int,
     bins: int,
-    replicates: int,
     seed: int,
-) -> list[float]:
-    indices = range(block * _ORACLE_BLOCK, min((block + 1) * _ORACLE_BLOCK, replicates))
-    (paths,), _ = block_streams(seed, indices, rngs=(ROLE_ORACLE,))
+) -> np.ndarray:
+    paths = SeededRngs(stream_words(seed, indices, ROLE_ORACLE))
     checked = np.asarray(times, dtype=np.float64)
     draws = []
-    for values in _fbm_blocks(m, times[-1], hurst, list(paths)):
+    for values in _fbm_blocks(m, times[-1], hurst, paths):
         for grid in _box_counts(values, m, checked, bins):
             draws.append(local_time_power_integral(grid, thetas, beta))
-    return draws
+    return np.asarray(draws, dtype=np.float64)
 
 
 def power_integral_draws(
@@ -167,11 +166,11 @@ def power_integral_draws(
 
     Replicate i draws its path from the substream
     ``(seed, i, oracle-role)``, so results are reproducible and
-    worker-count independent.  Replicates are mapped in fixed blocks of
-    indices, whatever ``jobs`` is, and each block's paths are drawn and
+    worker-count independent.  Replicates are mapped in fixed blocks by
+    ``replicate_blocks``, and each block's paths are drawn and
     box-counted a block of rows at a time.
     """
-    check_sizes(replicates=replicates, bins=bins)
+    check_sizes(bins=bins)
     draw = functools.partial(
         _power_integral_block,
         hurst=hurst,
@@ -180,11 +179,9 @@ def power_integral_draws(
         times=check_times(times),
         m=m,
         bins=bins,
-        replicates=replicates,
         seed=seed,
     )
-    blocks = -(-replicates // _ORACLE_BLOCK)
-    return np.concatenate(replicate_map(draw, blocks, jobs=jobs), dtype=np.float64)
+    return replicate_blocks(draw, replicates, jobs=jobs)
 
 
 def estimate_power_integral_mean(
@@ -274,10 +271,10 @@ def sample_stable_motion(
     times = np.asarray(check_times(times))
     noise = StableParams(beta=model.beta, sigma=model.sigma)
     rows = np.empty((copies, times.size), dtype=np.float64)
-    (walks, noises), _ = block_streams(seed, range(copies), rngs=(ROLE_WALK, ROLE_NOISE))
-    noises = list(noises)
+    words = stream_words(seed, np.arange(copies, dtype=np.uint64)[:, np.newaxis], _ROLES)
+    walks, noises = SeededRngs(words[:, 0]), SeededRngs(words[:, 1])
     start = 0
-    for values in _fbm_blocks(m, float(times[-1]), model.hurst, list(walks)):
+    for values in _fbm_blocks(m, float(times[-1]), model.hurst, walks):
         stop = start + len(values)
         grids = _box_counts(values, m, times, bins)
         rows[start:stop] = _local_time_integrals(grids, noise, noises[start:stop])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fgn import WalkPath
-from .model import ModelParams
+from .model import ModelParams, check_finite, grid_floor
 from .stable import Scenery
 
 __all__ = [
@@ -324,12 +324,13 @@ def local_time_functional(
     local time and drives the characteristic function of the limit.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
+    times = check_finite("times", times)
     if len(profiles) != len(thetas) or len(profiles) != len(times):
         raise UsageError("profiles, thetas and times must have equal length")
     if len(profiles) == 0:
         raise UsageError("need at least one profile")
     for profile, t in zip(profiles, times):
-        expect = int(np.floor(n * float(t) + 1e-9))
+        expect = grid_floor(n * t)
         if profile.n != expect:
             raise UsageError(f"profile horizon {profile.n} != floor(n*t) = {expect} at t={t}")
     lo = min(int(p.sites[0]) for p in profiles)

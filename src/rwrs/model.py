@@ -20,6 +20,8 @@ import dataclasses
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .errors import UsageError
 
 # smallest value of each integer size: a grid needs two steps per unit
@@ -80,6 +82,17 @@ def check_times(times: Iterable[float], horizon: float = math.inf) -> tuple[floa
     if times[-1] > horizon + 1e-12:
         raise UsageError(f"time {times[-1]} beyond path horizon {horizon}")
     return times
+
+
+def grid_floor(x):
+    """The grid horizon floor(x) of a finite product x = n * t, the one rule for every grid.
+
+    A product can land a hair below the integer it stands for (49 * (1/49)
+    is 0.9999999999999999), so a slack is added before flooring.  Returns
+    an int for a scalar and an int64 array for an array.
+    """
+    index = np.floor(np.asarray(x, dtype=np.float64) + 1e-9).astype(np.int64)
+    return int(index) if index.ndim == 0 else index
 
 
 def delta_exponent(hurst: float, beta: float) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fgn import _fgn_blocks
 from .local_times import SITE_CEIL, SceneryLike, _row_values, _walk_rewards
-from .model import ModelParams, SchemaConfig
+from .model import ModelParams, SchemaConfig, grid_floor
 from .stable import SceneryKind, StableParams, _keyed_values
 from .streams import ROLE_SCENERY, ROLE_WALK, SeededRngs, _word64_array, stream_words
 
@@ -64,7 +64,7 @@ def _copy_rows(
     n = config.n
     # each walk takes one step beyond the last time, as it always has: its
     # length fixes the fGn embedding, so dropping the step would change the walks
-    steps = max(int(np.floor(n * config.times[-1] + 1e-9)) + 1, 1)
+    steps = max(grid_floor(n * config.times[-1]) + 1, 1)
     s = n * np.asarray(config.times)
     below = np.floor(s)
     frac = s - below

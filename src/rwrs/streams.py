@@ -3,10 +3,7 @@
 Every random object in the package is drawn from a generator keyed by a
 tuple ``(seed, *path)`` of nonnegative integers.  Identical key tuples
 give identical streams, distinct tuples give statistically independent
-streams, and nothing depends on call order or worker scheduling.  Monte
-Carlo drivers fan replicates out over a process pool and reassemble the
-per-replicate results by index, so outputs are byte-identical for any
-worker count.
+streams, and nothing depends on call order or worker scheduling.
 
 A stream is numpy's ``SeedSequence`` of the key's entropy words feeding
 a ``PCG64`` generator.  ``spawn_rng`` and ``stream_key`` derive one
@@ -14,18 +11,27 @@ stream at a time through numpy.  ``stream_words`` derives many streams
 at once, for arrays of seeds and path entries: it runs
 ``SeedSequence``'s pool mixing as uint32 arithmetic on one column per
 stream, with the data-independent hash constants precomputed, and gives
-the same generators and keys as numpy, bit for bit.  ``block_streams``
-is its form for the streams ``(seed, i, role)`` of a block of indices.
+the same generators and keys as numpy, bit for bit; ``SeededRngs``
+makes the generators from its words as they are taken.
+
+Every Monte Carlo driver maps fixed blocks of replicate indices over a
+process pool with ``replicate_blocks`` and reassembles them in index
+order, so outputs are byte-identical for any worker count.  Replicate r
+of a schema or stable-motion sample is seeded by ``stream_key(seed, r)``;
+a walk experiment's walk comes from ``(seed, r, ROLE_WALK)`` and the
+oracle's path from ``(seed, r, ROLE_ORACLE)``.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .model import check_sizes
 
 # role tags appended to stream keys so that the independent random
 # ingredients of one replicate never share a stream
@@ -51,6 +57,9 @@ _SEED_WORDS = 4
 # below this many streams, numpy's one-at-a-time derivation is faster
 # than the fixed cost of the column arithmetic
 _BLOCK_MIN_STREAMS = 12
+# replicate indices per task of ``replicate_blocks``; the blocks do not
+# depend on the worker count
+_REPLICATE_BLOCK = 16
 
 T = TypeVar("T")
 
@@ -194,16 +203,6 @@ class _SeedWords(ISeedSequence):
         return self.words[:n_words]
 
 
-def seeded_rng(words: np.ndarray) -> np.random.Generator:
-    """The generator of a stream whose ``SeedSequence`` gives these seed words.
-
-    ``words`` is what ``generate_state(4, np.uint64)`` returns for the
-    stream; numpy's ``PCG64`` seeds itself from them as it would from
-    the ``SeedSequence``.
-    """
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
 def stream_words(seed, *path) -> np.ndarray:
     """Seed words of the streams ``(seed, *path)``, one stream per element.
 
@@ -211,8 +210,8 @@ def stream_words(seed, *path) -> np.ndarray:
     broadcast together, and the result has their broadcast shape plus a
     trailing axis of ``_SEED_WORDS`` uint64 words, what the stream's
     ``SeedSequence`` gives as ``generate_state(4, np.uint64)``.  The first
-    word is ``stream_key(seed, *path)``, and ``seeded_rng`` makes the
-    stream's generator from the words.  All streams are derived in one
+    word is ``stream_key(seed, *path)``, and ``SeededRngs`` makes the
+    streams' generators from the words.  All streams are derived in one
     vectorised pass; only a few streams go through numpy one at a time.
     """
     length, *values = _entropy(seed, path)
@@ -231,9 +230,11 @@ def stream_words(seed, *path) -> np.ndarray:
 class SeededRngs(Sequence[np.random.Generator]):
     """The generators of streams given by their seed words, each made when it is taken.
 
-    ``words`` is a (streams, 4) array from ``stream_words``; a slice
-    gives a list of fresh generators, so a long sequence of streams
-    never holds more generators than its caller takes at once.
+    ``words`` is a (streams, 4) array from ``stream_words``; numpy's
+    ``PCG64`` seeds itself from a stream's words as it would from the
+    stream's ``SeedSequence``.  A slice gives a list of fresh generators,
+    so a long sequence of streams never holds more generators than its
+    caller takes at once.
     """
 
     def __init__(self, words: np.ndarray) -> None:
@@ -244,27 +245,8 @@ class SeededRngs(Sequence[np.random.Generator]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [seeded_rng(w) for w in self.words[index]]
-        return seeded_rng(self.words[index])
-
-
-def block_streams(
-    seed: int, indices: Sequence[int], rngs: Sequence[int] = (), keys: Sequence[int] = ()
-) -> tuple[list[Iterable[np.random.Generator]], list[list[int]]]:
-    """Generators and keys of the streams ``(seed, i, role)`` for a block of indices.
-
-    Returns ``(generators, key_lists)``.  ``generators[r]`` yields
-    ``spawn_rng(seed, i, rngs[r])`` for each i in ``indices`` in turn,
-    each made when it is taken; ``key_lists[r]`` lists
-    ``stream_key(seed, i, keys[r])``.  The streams of a block are
-    derived together by ``stream_words``.
-    """
-    roles = (*rngs, *keys)
-    words = stream_words(seed, _word64_array(indices), _word64_array(roles)[:, np.newaxis])
-    return (
-        [map(seeded_rng, words[r]) for r in range(len(rngs))],
-        [words[r, :, 0].tolist() for r in range(len(rngs), len(roles))],
-    )
+            return [self[i] for i in range(len(self))[index]]
+        return np.random.Generator(np.random.PCG64(_SeedWords(self.words[index])))
 
 
 def replicate_map(fn: Callable[[int], T], count: int, jobs: int = 1) -> list[T]:
@@ -284,3 +266,23 @@ def replicate_map(fn: Callable[[int], T], count: int, jobs: int = 1) -> list[T]:
     chunk = max(1, count // (4 * jobs))
     with multiprocessing.Pool(processes=min(jobs, count)) as pool:
         return pool.map(fn, range(count), chunksize=chunk)
+
+
+def _replicate_block(block: int, fn: Callable, replicates: int, size: int) -> np.ndarray:
+    return fn(np.arange(block * size, min((block + 1) * size, replicates), dtype=np.uint64))
+
+
+def replicate_blocks(fn: Callable[[np.ndarray], np.ndarray], replicates: int, jobs: int = 1) -> np.ndarray:
+    """``fn`` of each fixed block of the replicate indices 0..replicates-1, rows concatenated.
+
+    The indices are split into blocks of ``_REPLICATE_BLOCK``, whatever
+    ``jobs`` is, and the blocks are mapped through ``replicate_map``.
+    ``fn`` takes a block's indices as a uint64 array, derives every
+    stream of the block from them in one ``stream_words`` pass and
+    returns one row per index, so the output does not depend on ``jobs``.
+    """
+    check_sizes(replicates=replicates)
+    # the size is fixed here, not read in the workers
+    size = _REPLICATE_BLOCK
+    task = functools.partial(_replicate_block, fn=fn, replicates=replicates, size=size)
+    return np.concatenate(replicate_map(task, -(-replicates // size), jobs=jobs))

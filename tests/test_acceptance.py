@@ -250,13 +250,16 @@ def test_criterion_9_cli_byte_determinism(capsys, tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    # 40 replicates are three blocks of schema replicates, so --jobs 2 and 3
+    # 40 replicates are three blocks of replicates, so --jobs 2 and 3
     # split them between workers
     checks = {}
     for args in (
         ("schema", "--n", "64", "--cn", "4", "--replicates", "40"),
         ("rwrs", "--n", "64", "--replicates", "40"),
         ("scaling", "--replicates", "10"),
+        ("walk", "--n", "64", "--replicates", "40"),
+        ("gamma", "--cn", "2", "--m", "64", "--bins", "16", "--replicates", "40"),
+        ("ks-stat", "--n", "64", "--m", "64", "--bins", "16", "--replicates", "40"),
     ):
         outputs = {jobs: run(*args, "--jobs", jobs) for jobs in ("1", "2", "3")}
         checks[args[0]] = outputs["1"] == outputs["2"] == outputs["3"]

@@ -21,7 +21,7 @@ from rwrs import (
     sample_local_time_integral,
     sample_stable_motion,
 )
-from rwrs.streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, spawn_rng
+from rwrs.streams import _REPLICATE_BLOCK, ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, spawn_rng
 
 
 def _grid_path(values, m=None, hurst=0.5):
@@ -421,9 +421,7 @@ def test_stable_motion_matches_per_copy_composition(hurst, copies):
 @pytest.mark.parametrize("replicates", ["one", "block-1", "block+1", "forty-five"])
 @pytest.mark.parametrize("hurst", [0.5, 0.7])
 def test_power_integral_draws_match_per_index_composition(hurst, replicates):
-    from rwrs.limit import _ORACLE_BLOCK
-
-    count = {"one": 1, "block-1": _ORACLE_BLOCK - 1, "block+1": _ORACLE_BLOCK + 1,
+    count = {"one": 1, "block-1": _REPLICATE_BLOCK - 1, "block+1": _REPLICATE_BLOCK + 1,
              "forty-five": 45}[replicates]
     thetas, times = (1.0, -0.5), (0.5, 1.0)
     got = power_integral_draws(hurst, 1.5, thetas, times, 256, 64, count, seed=69)

@@ -26,7 +26,7 @@ from rwrs import (
     schema_samples,
     superpose,
 )
-from rwrs import experiments as experiments_mod
+from rwrs import streams as streams_mod
 from rwrs.local_times import SITE_CEIL, SITE_FLOOR, site_of
 from rwrs.streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
 
@@ -441,7 +441,7 @@ def test_schema_samples_do_not_depend_on_replicate_block_or_jobs(monkeypatch, bl
     model = ModelParams(hurst=0.7, beta=1.5)
     config = SchemaConfig(n=64, copies=5, times=(0.3, 1.0))
     if block is not None:
-        monkeypatch.setattr(experiments_mod, "_SCHEMA_BLOCK", block)
+        monkeypatch.setattr(streams_mod, "_REPLICATE_BLOCK", block)
     got = schema_samples(model, config.n, config.copies, config.times, 7, 91, jobs=jobs)
     alone = [sample_reward_schema(config, model, stream_key(91, r)) for r in range(7)]
     assert got.shape == (7, 2)

@@ -5,6 +5,30 @@ import functools
 import numpy as np
 import pytest
 
+from rwrs import (
+    ModelParams,
+    SchemaConfig,
+    UsageError,
+    fbm_local_time,
+    functional_experiment,
+    local_time_functional,
+    local_time_power_integral,
+    local_time_profiles,
+    max_local_time,
+    power_integral_draws,
+    range_count,
+    sample_fbm,
+    sample_reward_process,
+    sample_reward_schema,
+    sample_stable_motion,
+    sample_walk,
+    scaling_experiment,
+    schema_copy_samples,
+    schema_samples,
+    self_intersections,
+    stable_motion_samples,
+    walk_variance,
+)
 from rwrs import streams
 from rwrs.streams import (
     ROLE_NOISE,
@@ -14,7 +38,8 @@ from rwrs.streams import (
     _block_seed_words,
     _entropy,
     _word64_array,
-    block_streams,
+    SeededRngs,
+    replicate_blocks,
     replicate_map,
     spawn_rng,
     stream_key,
@@ -76,25 +101,26 @@ def _assert_block_matches_numpy(seed, indices, roles):
     role_column = np.repeat(_word64_array(roles), len(indices))
     entropy = _entropy(seed, (index_column, role_column))
     words = _block_seed_words(entropy, len(indices) * len(roles)).reshape(len(roles), len(indices), 4)
-    # and generators and keys through the public entry point
-    generators, keys = block_streams(seed, indices, rngs=roles, keys=roles)
-    assert len(generators) == len(keys) == len(roles)
+    # and generators and keys through the public entry points
+    public = stream_words(seed, _word64_array(indices), _word64_array(roles)[:, np.newaxis])
+    assert len(public) == len(roles)
     for r, role in enumerate(roles):
-        rngs = list(generators[r])
-        assert len(rngs) == len(keys[r]) == len(indices)
+        rngs = SeededRngs(public[r])[:]
+        keys = public[r, :, 0].tolist()
+        assert len(rngs) == len(keys) == len(indices)
         for k, i in enumerate(indices):
             reference = np.random.SeedSequence(_entropy(seed, (i, role)))
             assert words[r, k].tobytes() == reference.generate_state(4, np.uint64).tobytes()
             assert rngs[k].bit_generator.state == np.random.PCG64(reference).state
             expected = spawn_rng(seed, i, role).standard_normal(64)
             assert rngs[k].standard_normal(64).tobytes() == expected.tobytes()
-            assert keys[r][k] == stream_key(seed, i, role)
-            assert type(keys[r][k]) is int
+            assert keys[k] == stream_key(seed, i, role)
+            assert type(keys[k]) is int
 
 
 @pytest.mark.parametrize("vectorised", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_block_streams_match_numpy_seed_sequence(seed, vectorised, monkeypatch):
+def test_stream_words_of_index_blocks_match_numpy_seed_sequence(seed, vectorised, monkeypatch):
     if vectorised:
         # every block through the column arithmetic, down to one stream
         monkeypatch.setattr(streams, "_BLOCK_MIN_STREAMS", 0)
@@ -103,7 +129,7 @@ def test_block_streams_match_numpy_seed_sequence(seed, vectorised, monkeypatch):
         _assert_block_matches_numpy(seed, indices, (ROLE_SCENERY,))
 
 
-def test_block_streams_of_a_range_match_numpy():
+def test_stream_words_of_a_range_match_numpy():
     # the default path of a copy loop: a range of copy indices, two roles
     _assert_block_matches_numpy(7, range(40), (ROLE_WALK, ROLE_SCENERY))
     _assert_block_matches_numpy(7, range(2**32 - 3, 2**32 + 3), (ROLE_WALK, ROLE_NOISE))
@@ -143,10 +169,12 @@ def test_stream_words_of_an_index_array_are_the_stream_keys(indices):
     assert keys.tolist() == [stream_key(2**35 + 1, i) for i in indices]
 
 
-def test_block_streams_split_generator_and_key_roles():
-    (walks, noises), (keys,) = block_streams(
-        9, range(10), rngs=(ROLE_WALK, ROLE_NOISE), keys=(ROLE_SCENERY,)
-    )
+def test_seeded_rngs_and_keys_split_by_role():
+    roles = _word64_array((ROLE_WALK, ROLE_NOISE, ROLE_SCENERY))
+    words = stream_words(9, np.arange(10, dtype=np.uint64)[:, np.newaxis], roles)
+    walks, noises = SeededRngs(words[:, 0]), SeededRngs(words[:, 1])
+    keys = words[:, 2, 0].tolist()
+    assert len(walks) == len(noises) == len(keys) == 10
     for i, walk, noise, key in zip(range(10), walks, noises, keys):
         assert walk.bit_generator.state == spawn_rng(9, i, ROLE_WALK).bit_generator.state
         assert noise.bit_generator.state == spawn_rng(9, i, ROLE_NOISE).bit_generator.state
@@ -193,3 +221,116 @@ def test_replicate_map_validation():
         replicate_map(_square, -1)
     with pytest.raises(ValueError):
         replicate_map(_square, 4, jobs=0)
+
+
+def _block_lengths(indices: np.ndarray) -> np.ndarray:
+    return np.stack([indices, np.full(len(indices), len(indices), dtype=np.uint64)], axis=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replicate_blocks_map_fixed_blocks_in_index_order(jobs):
+    rows = replicate_blocks(_block_lengths, 37, jobs=jobs)
+    assert rows[:, 0].tolist() == list(range(37))
+    assert rows[:, 1].tolist() == [16] * 32 + [5] * 5
+    with pytest.raises(UsageError):
+        replicate_blocks(_block_lengths, 0)
+
+
+# every Monte Carlo driver against its replicates drawn one at a time; 17
+# replicates cross a block boundary at every block size tried
+MODEL = ModelParams(hurst=0.7, beta=1.5)
+SEED = 19
+REPLICATES = 17
+TIMES = (0.5, 1.0)
+GRID = (16, 32, 64)
+
+
+def _walk(r: int, steps: int):
+    return sample_walk(steps, MODEL.hurst, spawn_rng(SEED, r, ROLE_WALK))
+
+
+def _energy(r: int, times=TIMES, thetas=(1.0, -0.5)) -> float:
+    path = sample_fbm(64, times[-1], MODEL.hurst, spawn_rng(SEED, r, ROLE_ORACLE))
+    return local_time_power_integral(fbm_local_time(path, times, 16), thetas, MODEL.beta)
+
+
+def _scaling_rows(result) -> np.ndarray:
+    return np.stack([result.mean_v, result.se_v, result.mean_r, result.se_r, result.median_scaled])
+
+
+def _scaling_reference() -> np.ndarray:
+    profiles = [local_time_profiles(_walk(r, 64), GRID) for r in range(REPLICATES)]
+    v, r, top = (
+        np.asarray([[statistic(p[h]) for h in GRID] for p in profiles], dtype=np.float64)
+        for statistic in (self_intersections, range_count, max_local_time)
+    )
+    root_m = np.sqrt(REPLICATES)
+    scaled = np.median(top, axis=0) * np.asarray(GRID, dtype=np.float64) ** (-MODEL.delta)
+    return np.stack([v.mean(axis=0), v.std(axis=0, ddof=1) / root_m, r.mean(axis=0),
+                     r.std(axis=0, ddof=1) / root_m, scaled])
+
+
+def _functional_rows(result) -> np.ndarray:
+    return np.stack([result.discrete, result.limit])
+
+
+DRIVERS = {
+    "schema": (
+        lambda jobs: schema_samples(MODEL, 32, 3, TIMES, REPLICATES, SEED, jobs=jobs),
+        lambda: np.stack([
+            sample_reward_schema(SchemaConfig(32, 3, TIMES), MODEL, stream_key(SEED, r))
+            for r in range(REPLICATES)
+        ]),
+    ),
+    "schema-copies": (
+        lambda jobs: schema_copy_samples(MODEL, 32, 3, TIMES, REPLICATES, SEED, jobs=jobs),
+        lambda: np.stack([
+            [sample_reward_process(32, TIMES, MODEL, stream_key(SEED, r), copy=i) for i in range(3)]
+            for r in range(REPLICATES)
+        ]),
+    ),
+    "oracle": (
+        lambda jobs: power_integral_draws(0.7, 1.5, (1.0, -0.5), TIMES, 64, 16, REPLICATES, SEED, jobs),
+        lambda: np.asarray([_energy(r) for r in range(REPLICATES)]),
+    ),
+    "motion": (
+        lambda jobs: stable_motion_samples(MODEL, 3, TIMES, 64, 16, REPLICATES, SEED, jobs=jobs),
+        lambda: np.stack([
+            sample_stable_motion(3, TIMES, MODEL, 64, 16, seed=stream_key(SEED, r)) for r in range(REPLICATES)
+        ]),
+    ),
+    "walk": (
+        lambda jobs: walk_variance(64, 0.7, REPLICATES, SEED, jobs=jobs).finals,
+        lambda: np.asarray([_walk(r, 64).sums[-1] for r in range(REPLICATES)]),
+    ),
+    "scaling": (
+        lambda jobs: _scaling_rows(
+            scaling_experiment(0.7, 1.5, REPLICATES, SEED, jobs=jobs, slope_grid=GRID, median_grid=GRID)
+        ),
+        _scaling_reference,
+    ),
+    "functional": (
+        lambda jobs: _functional_rows(
+            functional_experiment(MODEL, 32, [1.0], [1.0], 64, 16, REPLICATES, SEED, jobs=jobs)
+        ),
+        lambda: np.stack([
+            [local_time_functional([local_time_profiles(_walk(r, 32), (32,))[32]], [1.0], [1.0], 32, MODEL)
+             for r in range(REPLICATES)],
+            [_energy(r, times=(1.0,), thetas=(1.0,)) for r in range(REPLICATES)],
+        ]),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(driver: str) -> bytes:
+    return DRIVERS[driver][1]().tobytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_drivers_match_their_replicates_drawn_alone(monkeypatch, driver, block, jobs):
+    if block is not None:
+        monkeypatch.setattr(streams, "_REPLICATE_BLOCK", block)
+    assert DRIVERS[driver][0](jobs).tobytes() == _reference(driver)
