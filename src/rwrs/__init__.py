@@ -13,7 +13,6 @@ from .experiments import (
     ScalingResult,
     WalkVarianceResult,
     functional_experiment,
-    motion_ecf_check,
     scaling_experiment,
     schema_copy_samples,
     schema_ecf_check,
@@ -122,5 +121,4 @@ __all__ = [
     "functional_experiment",
     "EcfCheckResult",
     "schema_ecf_check",
-    "motion_ecf_check",
 ]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
-from typing import Callable, IO, Sequence
+from typing import Callable, IO, NamedTuple, Sequence
 
 from . import __version__
 from .errors import NumericalError, UsageError
@@ -36,19 +37,6 @@ from .model import (
 from .stable import SceneryKind
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
-
-_COMMANDS = ("walk", "rwrs", "scaling", "ks-stat", "delta", "gamma", "schema", "ecf-check")
-
-_CSV_DOC = {
-    "walk": "replicate, s_n (final walk position)",
-    "rwrs": "replicate, t, value (rescaled reward process D_n)",
-    "scaling": "n, mean_Vn, se_Vn, mean_Rn, se_Rn, median_Ln_scaled",
-    "ks-stat": "replicate, x_n, x_limit (walk functional and limit energy draws)",
-    "delta": "replicate, t, value (local-time stable integral)",
-    "gamma": "replicate, t, value (superposed local-time stable motion)",
-    "schema": "replicate, t, value (superposed reward schema G_n)",
-    "ecf-check": "u, ecf_re, ecf_se, target, z",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +57,7 @@ class RunConfig:
     times: tuple[float, ...] = (0.25, 0.5, 1.0)
     u: tuple[float, ...] = (0.5, 1.0, 2.0)
     seed: int = 0
-    scenery: str = "stable"
+    scenery: str = SceneryKind.EXACT_STABLE.value
     site_convention: str = SITE_CEIL
     output: str | None = None
     jobs: int | None = None
@@ -84,7 +72,21 @@ class RunConfig:
         return SceneryKind(self.scenery)
 
     def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs is not None else (os.cpu_count() or 1)
+        """``jobs``, by default the number of CPUs this process may run on."""
+        if self.jobs is not None:
+            return self.jobs
+        # a cpuset or taskset can leave a process fewer CPUs than the machine has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+
+
+_KNOBS = ("output", "jobs", "assert_mode")
+# the configuration a table records, in RunConfig order
+_HEADER = tuple(field.name for field in dataclasses.fields(RunConfig) if field.name not in _KNOBS)
+
+
+# --- configuration fields ------------------------------------------------
 
 
 def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
@@ -111,24 +113,43 @@ def _parse_float(name: str, text: str) -> float:
         raise UsageError(f"{name}: expected a real number, got {text!r}") from exc
 
 
-# field name -> parser for config-file values
-_FILE_FIELDS: dict[str, Callable[[str, str], object]] = {
-    "hurst": _parse_float,
-    "beta": _parse_float,
-    "sigma": _parse_float,
-    "n": _parse_int,
-    "cn": _parse_int,
-    "m": _parse_int,
-    "bins": _parse_int,
-    "replicates": _parse_int,
-    "oracle_replicates": _parse_int,
-    "times": _parse_float_list,
-    "u": _parse_float_list,
-    "seed": _parse_int,
-    "scenery": lambda name, text: text,
-    "site_convention": lambda name, text: text,
-    "output": lambda name, text: text,
-    "jobs": _parse_int,
+class _Field(NamedTuple):
+    """How a configuration field reads its flag or config-file text, and its help."""
+
+    parse: Callable[[str, str], object]
+    help: str
+
+
+def _choice(help: str, *choices: str) -> _Field:
+    def parse(name: str, text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"{name} must be {' or '.join(map(repr, choices))}, got {text!r}")
+        return text
+
+    return _Field(parse, f"{help} ({' or '.join(choices)})")
+
+
+# One row per configuration field: the flag --name (underscores as dashes)
+# and the config-file key name.  --help adds the RunConfig default.
+_FIELDS = {
+    "hurst": _Field(_parse_float, "Hurst index in (0, 1)"),
+    "beta": _Field(_parse_float, "stability index in (0, 2]"),
+    "sigma": _Field(_parse_float, "stable scale > 0"),
+    "n": _Field(_parse_int, "walk time scale"),
+    "cn": _Field(_parse_int, "number of superposed copies"),
+    "m": _Field(_parse_int, "fBm grid steps per unit time"),
+    "bins": _Field(_parse_int, "local-time spatial bins"),
+    "replicates": _Field(_parse_int, "Monte Carlo replicates"),
+    "oracle_replicates": _Field(_parse_int, "replicates for the limit-energy oracle"),
+    "times": _Field(_parse_float_list, "comma-separated evaluation times"),
+    "u": _Field(_parse_float_list, "comma-separated CF frequencies"),
+    "seed": _Field(_parse_int, "64-bit master seed (RWRS_SEED overrides the default)"),
+    "scenery": _choice("scenery kind", *(kind.value for kind in SceneryKind)),
+    "site_convention": _choice("lattice site map applied to walk positions", SITE_CEIL, SITE_FLOOR),
+    "output": _Field(lambda name, text: text, "CSV destination, default stdout"),
+    "jobs": _Field(
+        _parse_int, "worker processes, default the CPUs this process may run on; never affects results"
+    ),
 }
 
 
@@ -148,9 +169,9 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
         key, _, text = body.partition("=")
         key = key.strip()
-        if key not in _FILE_FIELDS:
+        if key not in _FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _FILE_FIELDS[key](key, text.strip())
+        values[key] = _FIELDS[key].parse(key, text.strip())
     return values
 
 
@@ -168,50 +189,21 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("configuration (flag > config file > RWRS_SEED > default)")
     group.add_argument("--config", metavar="FILE", help="flat key = value config file, # comments")
-    group.add_argument("--hurst", type=float, help="Hurst index in (0, 1), default 0.5")
-    group.add_argument("--beta", type=float, help="stability index in (0, 2], default 2")
-    group.add_argument("--sigma", type=float, help="stable scale > 0, default 1")
-    group.add_argument("--n", type=int, help="walk time scale, default 2048")
-    group.add_argument("--cn", type=int, help="number of superposed copies, default 32")
-    group.add_argument("--m", type=int, help="fBm grid steps per unit time, default 4096")
-    group.add_argument("--bins", type=int, help="local-time spatial bins, default 512")
-    group.add_argument("--replicates", type=int, help="Monte Carlo replicates, default 500")
-    group.add_argument(
-        "--oracle-replicates", type=int, dest="oracle_replicates",
-        help="replicates for the limit-energy oracle, default 2000",
-    )
-    group.add_argument("--times", type=str, help="comma-separated evaluation times, default 0.25,0.5,1")
-    group.add_argument("--u", type=str, help="comma-separated CF frequencies, default 0.5,1,2")
-    group.add_argument("--seed", type=int, help="master seed (64-bit), default 0 or RWRS_SEED")
-    group.add_argument("--scenery", choices=["stable", "pareto"], help="scenery kind, default stable")
-    group.add_argument(
-        "--site-convention", choices=[SITE_CEIL, SITE_FLOOR], dest="site_convention",
-        help="lattice site map applied to walk positions, default ceil",
-    )
-    group.add_argument("--output", metavar="FILE", help="CSV destination, default stdout")
-    group.add_argument("--jobs", type=int, help="worker processes, default all cores; never affects results")
+    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+    for name, field in _FIELDS.items():
+        default = defaults[name]
+        shown = "" if default is None else f", default {_format_value(default)}"
+        group.add_argument("--" + name.replace("_", "-"), dest=name, help=field.help + shown)
 
     sub = parser.add_subparsers(dest="command", metavar="command")
-    descriptions = {
-        "walk": "Sample the dependent Gaussian walk and report Var(S_n) / n**(2H).",
-        "rwrs": "Sample rescaled reward processes D_n(t) = n**(-delta) Z_nt.",
-        "scaling": "Fit growth exponents of self-intersections V_n and range R_n; "
-        "track the rescaled maximum local time.",
-        "ks-stat": "Compare the normalized occupation functional of the walk at theta = 1, "
-        "t = max(times) against the limit beta-energy (KS distance, mean error).",
-        "delta": "Sample the local-time stable integral at the given times.",
-        "gamma": "Sample the normalized superposition of cn local-time stable integrals.",
-        "schema": "Sample the superposed reward schema G_n at the given times.",
-        "ecf-check": "Empirical CF of the schema at t = 1 against the limit CF target.",
-    }
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(
             name,
             parents=[common],
-            description=descriptions[name],
-            epilog=f"CSV columns: {_CSV_DOC[name]}",
+            description=command.description,
+            epilog=f"CSV columns: {', '.join(command.columns)}",
         )
-        if name in ("scaling", "ecf-check"):
+        if command.asserts:
             p.add_argument(
                 "--assert", action="store_true", dest="assert_mode",
                 help="exit 3 unless the acceptance windows hold",
@@ -230,10 +222,10 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         values["seed"] = _parse_int("RWRS_SEED", env_seed)
     if namespace.config is not None:
         values.update(_read_config_file(namespace.config))
-    for field in _FILE_FIELDS:
-        flag_value = getattr(namespace, field)
-        if flag_value is not None:
-            values[field] = _parse_float_list(field, flag_value) if field in ("times", "u") else flag_value
+    for name, field in _FIELDS.items():
+        text = getattr(namespace, name)
+        if text is not None:
+            values[name] = field.parse(name, text)
     values["assert_mode"] = bool(getattr(namespace, "assert_mode", False))
     config = RunConfig(command=namespace.command, **values)
     _validate(config)
@@ -241,7 +233,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    # the model's domains come from rwrs.model; the rules below are the CLI's own
+    # the domains come from rwrs.model; the seed range is the CLI's own rule
     cfg.model
     SchemaConfig(n=cfg.n, copies=cfg.cn, times=cfg.times)
     check_sizes(m=cfg.m, bins=cfg.bins)
@@ -250,22 +242,13 @@ def _validate(cfg: RunConfig) -> None:
     check_finite("u", cfg.u)
     if not 0 <= cfg.seed < 2**64:
         raise UsageError(f"seed must be a 64-bit nonnegative integer, got {cfg.seed}")
-    if cfg.scenery not in ("stable", "pareto"):
-        raise UsageError(f"scenery must be 'stable' or 'pareto', got {cfg.scenery!r}")
-    if cfg.scenery == "pareto":
+    if cfg.kind is SceneryKind.SYMMETRIC_PARETO:
         check_pareto_beta(cfg.beta)
-    if cfg.site_convention not in (SITE_CEIL, SITE_FLOOR):
-        raise UsageError(f"site_convention must be 'ceil' or 'floor', got {cfg.site_convention!r}")
-    if cfg.jobs is not None and cfg.jobs < 1:
-        raise UsageError(f"jobs must be a positive integer, got {cfg.jobs}")
+    if cfg.jobs is not None:
+        check_sizes(jobs=cfg.jobs)
 
 
 # --- CSV emission --------------------------------------------------------
-
-_HEADER_FIELDS = (
-    "command", "hurst", "beta", "sigma", "n", "cn", "m", "bins", "replicates",
-    "oracle_replicates", "times", "u", "seed", "scenery", "site_convention",
-)
 
 
 def _format_value(value) -> str:
@@ -278,8 +261,8 @@ def _format_value(value) -> str:
 
 def _write_csv(stream: IO[str], cfg: RunConfig, columns: Sequence[str], rows) -> None:
     stream.write(f"# rwrs {__version__}\n")
-    for field in _HEADER_FIELDS:
-        stream.write(f"# {field}={_format_value(getattr(cfg, field))}\n")
+    for name in _HEADER:
+        stream.write(f"# {name}={_format_value(getattr(cfg, name))}\n")
     stream.write(",".join(columns) + "\n")
     for row in rows:
         stream.write(",".join(_format_value(cell) for cell in row) + "\n")
@@ -294,38 +277,30 @@ def _verdict(cfg: RunConfig, summary: str, windows: dict[str, bool]) -> tuple[st
     return f"{summary}; failed: {'; '.join(failed)}", 3 if cfg.assert_mode else 0
 
 
-def _sample_rows(times: Sequence[float], samples) -> list[tuple[int, float, float]]:
-    return [
-        (int(i), float(t), float(samples[i, j]))
-        for i in range(samples.shape[0])
-        for j, t in enumerate(times)
-    ]
-
-
-# --- command runners -----------------------------------------------------
+# --- commands ------------------------------------------------------------
 
 
 def _run_walk(cfg: RunConfig):
     result = walk_variance(cfg.n, cfg.hurst, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs())
     rows = [(i, float(v)) for i, v in enumerate(result.finals)]
     summary = (
-        f"walk: Var(S_n)/n^(2H) = {result.ratio:.4f} +- {result.se_ratio:.4f} "
+        f"Var(S_n)/n^(2H) = {result.ratio:.4f} +- {result.se_ratio:.4f} "
         f"(n={cfg.n}, H={cfg.hurst}, M={cfg.replicates})"
     )
-    return ("replicate", "s_n"), rows, summary, 0
+    return rows, summary, {}
 
 
-def _run_rwrs(cfg: RunConfig):
-    # D_n is the one-copy schema
-    samples = schema_samples(
-        cfg.model, cfg.n, 1, cfg.times, cfg.replicates, cfg.seed,
+def _draw_schema(cfg: RunConfig, copies: int):
+    return schema_samples(
+        cfg.model, cfg.n, copies, cfg.times, cfg.replicates, cfg.seed,
         jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
     )
-    summary = (
-        f"rwrs: {cfg.replicates} draws of D_n at {len(cfg.times)} times "
-        f"(n={cfg.n}, H={cfg.hurst}, beta={cfg.beta}, scenery={cfg.scenery})"
+
+
+def _draw_motion(cfg: RunConfig, copies: int):
+    return stable_motion_samples(
+        cfg.model, copies, cfg.times, cfg.m, cfg.bins, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs()
     )
-    return ("replicate", "t", "value"), _sample_rows(cfg.times, samples), summary, 0
 
 
 def _run_scaling(cfg: RunConfig):
@@ -339,11 +314,10 @@ def _run_scaling(cfg: RunConfig):
         for i, n in enumerate(result.horizons)
     ]
     summary = (
-        f"scaling: V slope {result.v_fit.slope:.3f} (target {2.0 - cfg.hurst:.2f}), "
+        f"V slope {result.v_fit.slope:.3f} (target {2.0 - cfg.hurst:.2f}), "
         f"R slope {result.r_fit.slope:.3f} (target {cfg.hurst:.2f})"
     )
-    columns = ("n", "mean_Vn", "se_Vn", "mean_Rn", "se_Rn", "median_Ln_scaled")
-    return (columns, rows, *_verdict(cfg, summary, result.windows()))
+    return rows, summary, result.windows()
 
 
 def _run_ks_stat(cfg: RunConfig):
@@ -357,45 +331,11 @@ def _run_ks_stat(cfg: RunConfig):
         for i, (a, b) in enumerate(zip(result.discrete, result.limit))
     ]
     summary = (
-        f"ks-stat: KS = {result.ks:.4f}, mean X_n = {result.mean_discrete:.4f}, "
+        f"KS = {result.ks:.4f}, mean X_n = {result.mean_discrete:.4f}, "
         f"limit energy = {result.energy_mean:.4f} +- {result.energy_se:.4f} "
         f"(theta=1, t={t_eval}, n={cfg.n})"
     )
-    return ("replicate", "x_n", "x_limit"), rows, summary, 0
-
-
-def _run_delta(cfg: RunConfig):
-    samples = stable_motion_samples(
-        cfg.model, 1, cfg.times, cfg.m, cfg.bins, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs()
-    )
-    summary = (
-        f"delta: {cfg.replicates} draws of the local-time stable integral at "
-        f"{len(cfg.times)} times (H={cfg.hurst}, beta={cfg.beta})"
-    )
-    return ("replicate", "t", "value"), _sample_rows(cfg.times, samples), summary, 0
-
-
-def _run_gamma(cfg: RunConfig):
-    samples = stable_motion_samples(
-        cfg.model, cfg.cn, cfg.times, cfg.m, cfg.bins, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs()
-    )
-    summary = (
-        f"gamma: {cfg.replicates} draws of the {cfg.cn}-copy stable motion at "
-        f"{len(cfg.times)} times (H={cfg.hurst}, beta={cfg.beta})"
-    )
-    return ("replicate", "t", "value"), _sample_rows(cfg.times, samples), summary, 0
-
-
-def _run_schema(cfg: RunConfig):
-    samples = schema_samples(
-        cfg.model, cfg.n, cfg.cn, cfg.times, cfg.replicates, cfg.seed,
-        jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
-    )
-    summary = (
-        f"schema: {cfg.replicates} draws of G_n at {len(cfg.times)} times "
-        f"(n={cfg.n}, cn={cfg.cn}, H={cfg.hurst}, beta={cfg.beta}, scenery={cfg.scenery})"
-    )
-    return ("replicate", "t", "value"), _sample_rows(cfg.times, samples), summary, 0
+    return rows, summary, {}
 
 
 def _run_ecf_check(cfg: RunConfig):
@@ -405,34 +345,115 @@ def _run_ecf_check(cfg: RunConfig):
         jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
     )
     summary = (
-        f"ecf-check: max |z| = {result.comparison.max_abs_z:.3f} over u={_format_value(cfg.u)} "
+        f"max |z| = {result.comparison.max_abs_z:.3f} over u={_format_value(cfg.u)} "
         f"(energy = {result.energy_mean:.4f} +- {result.energy_se:.4f})"
     )
-    columns = ("u", "ecf_re", "ecf_se", "target", "z")
-    return (columns, result.rows(), *_verdict(cfg, summary, result.comparison.windows()))
+    return result.rows(), summary, result.comparison.windows()
 
 
-_RUNNERS = {
-    "walk": _run_walk,
-    "rwrs": _run_rwrs,
-    "scaling": _run_scaling,
-    "ks-stat": _run_ks_stat,
-    "delta": _run_delta,
-    "gamma": _run_gamma,
-    "schema": _run_schema,
-    "ecf-check": _run_ecf_check,
+class _Command(NamedTuple):
+    """One command: a runner returning the table rows, the summary after
+    "<command>: " and the acceptance windows by name; the --help text; the
+    CSV columns; and whether --assert makes a failed window exit 3."""
+
+    run: Callable[[RunConfig], tuple[list, str, dict[str, bool]]]
+    description: str
+    columns: tuple[str, ...]
+    asserts: bool = False
+
+
+def _run_samples(cfg: RunConfig, draw: Callable, one_copy: bool, summary: str):
+    samples = draw(cfg, 1 if one_copy else cfg.cn)
+    rows = [
+        (i, float(t), float(samples[i, j]))
+        for i in range(samples.shape[0])
+        for j, t in enumerate(cfg.times)
+    ]
+    return rows, summary.format(cfg=cfg, k=len(cfg.times)), {}
+
+
+def _sample_command(description: str, draw: Callable, one_copy: bool, summary: str) -> _Command:
+    """The (replicate, t, value) table of one copy or of ``cn`` copies;
+    ``summary`` is formatted with ``cfg`` and the number of times ``k``."""
+    run = functools.partial(_run_samples, draw=draw, one_copy=one_copy, summary=summary)
+    return _Command(run, description, ("replicate", "t", "value"))
+
+
+_COMMANDS = {
+    "walk": _Command(
+        _run_walk,
+        "Sample the dependent Gaussian walk and report Var(S_n) / n**(2H); "
+        "s_n is the final walk position.",
+        ("replicate", "s_n"),
+    ),
+    "rwrs": _sample_command(
+        "Sample rescaled reward processes D_n(t) = n**(-delta) Z_nt.",
+        _draw_schema, one_copy=True,
+        summary="{cfg.replicates} draws of D_n at {k} times "
+            "(n={cfg.n}, H={cfg.hurst}, beta={cfg.beta}, scenery={cfg.scenery})",
+    ),
+    "scaling": _Command(
+        _run_scaling,
+        "Fit growth exponents of self-intersections V_n and range R_n; "
+        "track the rescaled maximum local time.",
+        ("n", "mean_Vn", "se_Vn", "mean_Rn", "se_Rn", "median_Ln_scaled"),
+        asserts=True,
+    ),
+    "ks-stat": _Command(
+        _run_ks_stat,
+        "Compare the normalized occupation functional of the walk at theta = 1, "
+        "t = max(times) against the limit beta-energy (KS distance, mean error); "
+        "x_n and x_limit are the walk functional and limit-energy draws.",
+        ("replicate", "x_n", "x_limit"),
+    ),
+    "delta": _sample_command(
+        "Sample the local-time stable integral at the given times.",
+        _draw_motion, one_copy=True,
+        summary="{cfg.replicates} draws of the local-time stable integral at {k} times "
+            "(H={cfg.hurst}, beta={cfg.beta})",
+    ),
+    "gamma": _sample_command(
+        "Sample the normalized superposition of cn local-time stable integrals.",
+        _draw_motion, one_copy=False,
+        summary="{cfg.replicates} draws of the {cfg.cn}-copy stable motion at {k} times "
+            "(H={cfg.hurst}, beta={cfg.beta})",
+    ),
+    "schema": _sample_command(
+        "Sample the superposed reward schema G_n at the given times.",
+        _draw_schema, one_copy=False,
+        summary="{cfg.replicates} draws of G_n at {k} times "
+            "(n={cfg.n}, cn={cfg.cn}, H={cfg.hurst}, beta={cfg.beta}, scenery={cfg.scenery})",
+    ),
+    "ecf-check": _Command(
+        _run_ecf_check,
+        "Empirical CF of the schema at t = 1 against the limit CF target.",
+        ("u", "ecf_re", "ecf_se", "target", "z"),
+        asserts=True,
+    ),
 }
+
+
+def _write_file(path: str, mode: str, write: Callable[[IO[str]], None]) -> None:
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
-    columns, rows, summary, code = _RUNNERS[cfg.command](cfg)
+    command = _COMMANDS[cfg.command]
+    if cfg.output is not None:
+        # fail before any draw; appending nothing keeps an existing file as it is
+        _write_file(cfg.output, "a", lambda handle: None)
+    rows, summary, windows = command.run(cfg)
+    summary, code = _verdict(cfg, f"{cfg.command}: {summary}", windows)
     if cfg.output is None:
-        _write_csv(sys.stdout, cfg, columns, rows)
+        _write_csv(sys.stdout, cfg, command.columns, rows)
         print(summary, file=sys.stderr)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, cfg, columns, rows)
+        _write_file(cfg.output, "w", lambda handle: _write_csv(handle, cfg, command.columns, rows))
         print(summary)
     return code
 

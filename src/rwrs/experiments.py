@@ -45,7 +45,6 @@ __all__ = [
     "functional_experiment",
     "EcfCheckResult",
     "schema_ecf_check",
-    "motion_ecf_check",
 ]
 
 # grids for the scaling experiment: slopes are fitted over the dyadic
@@ -111,14 +110,11 @@ def _schema_block(
     seed: int,
     kind: SceneryKind,
     convention: str,
-    superposed: bool,
     indices: np.ndarray,
 ) -> np.ndarray:
     # replicate r draws the schema seeded by stream_key(seed, r)
     keys = stream_words(seed, indices)[:, 0]
-    rows = _copy_rows(config, model, keys, range(config.copies), kind, None, convention)
-    # superposed in the worker, so only (block, k) values travel back
-    return superpose(rows, model.beta) if superposed else rows
+    return _copy_rows(config, model, keys, range(config.copies), kind, None, convention)
 
 
 def schema_copy_samples(
@@ -138,7 +134,7 @@ def schema_copy_samples(
     give the c-copy schema of the same replicates.
     """
     config = SchemaConfig(n=n, copies=copies, times=tuple(times))
-    draw = functools.partial(_schema_block, config, model, seed, kind, convention, False)
+    draw = functools.partial(_schema_block, config, model, seed, kind, convention)
     return replicate_blocks(draw, replicates, jobs)
 
 
@@ -156,13 +152,11 @@ def schema_samples(
     """Independent draws of the superposed schema, shape (M, k).
 
     Replicate r is ``sample_reward_schema`` seeded by ``stream_key(seed,
-    r)``; ``copies = 1`` gives draws of the rescaled reward process D_n.
-    Each block of replicates is superposed where it is drawn, so memory
-    does not grow with ``copies``.
+    r)``, the ``superpose`` of its ``schema_copy_samples`` rows;
+    ``copies = 1`` gives draws of the rescaled reward process D_n.
     """
-    config = SchemaConfig(n=n, copies=copies, times=tuple(times))
-    draw = functools.partial(_schema_block, config, model, seed, kind, convention, True)
-    return replicate_blocks(draw, replicates, jobs)
+    rows = schema_copy_samples(model, n, copies, times, replicates, seed, jobs, kind, convention)
+    return superpose(rows, model.beta)
 
 
 def _motion_block(indices: np.ndarray, seed: int, **params) -> np.ndarray:
@@ -406,32 +400,6 @@ class EcfCheckResult:
         ]
 
 
-def _ecf_check(
-    samples: np.ndarray,
-    u: Sequence[float],
-    model: ModelParams,
-    m: int,
-    bins: int,
-    oracle_replicates: int,
-    seed: int,
-    jobs: int,
-) -> EcfCheckResult:
-    energy_mean, energy_se = estimate_power_integral_mean(
-        model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, seed, jobs=jobs
-    )
-    estimate = ecf(samples, u)
-    target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
-    return EcfCheckResult(
-        estimate=estimate,
-        target=target,
-        target_se=target_se,
-        comparison=cf_compare(estimate, target, target_se),
-        samples=samples,
-        energy_mean=energy_mean,
-        energy_se=energy_se,
-    )
-
-
 def schema_ecf_check(
     model: ModelParams,
     n: int,
@@ -450,20 +418,17 @@ def schema_ecf_check(
     samples = schema_samples(
         model, n, copies, [1.0], replicates, seed, jobs=jobs, kind=kind, convention=convention
     )[:, 0]
-    return _ecf_check(samples, u, model, m, bins, oracle_replicates, seed, jobs)
-
-
-def motion_ecf_check(
-    model: ModelParams,
-    copies: int,
-    u: Sequence[float],
-    m: int,
-    bins: int,
-    replicates: int,
-    oracle_replicates: int,
-    seed: int,
-    jobs: int = 1,
-) -> EcfCheckResult:
-    """ECF of the limit-side superposition at time 1 against its CF."""
-    samples = stable_motion_samples(model, copies, [1.0], m, bins, replicates, seed, jobs=jobs)[:, 0]
-    return _ecf_check(samples, u, model, m, bins, oracle_replicates, seed, jobs)
+    energy_mean, energy_se = estimate_power_integral_mean(
+        model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, seed, jobs=jobs
+    )
+    estimate = ecf(samples, u)
+    target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
+    return EcfCheckResult(
+        estimate=estimate,
+        target=target,
+        target_se=target_se,
+        comparison=cf_compare(estimate, target, target_se),
+        samples=samples,
+        energy_mean=energy_mean,
+        energy_se=energy_se,
+    )

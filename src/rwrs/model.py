@@ -26,7 +26,7 @@ from .errors import UsageError
 
 # smallest value of each integer size: a grid needs two steps per unit
 # time, and a box count one bin inside its two guard bins
-_MINIMUM = {"n": 1, "copies": 1, "replicates": 1, "m": 2, "bins": 3}
+_MINIMUM = {"n": 1, "copies": 1, "replicates": 1, "jobs": 1, "m": 2, "bins": 3}
 
 
 def check_hurst(hurst: float) -> None:
@@ -51,7 +51,7 @@ def check_pareto_beta(beta: float) -> None:
 
 
 def check_sizes(**sizes: int) -> None:
-    """Each named size at least its minimum: n, copies and replicates 1, m 2, bins 3."""
+    """Each named size at least its minimum: n, copies, replicates and jobs 1, m 2, bins 3."""
     for name, value in sizes.items():
         if value < _MINIMUM[name]:
             raise UsageError(f"{name} must be at least {_MINIMUM[name]}, got {value}")

@@ -259,8 +259,7 @@ def replicate_map(fn: Callable[[int], T], count: int, jobs: int = 1) -> list[T]:
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    check_sizes(jobs=jobs)
     if jobs == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     chunk = max(1, count // (4 * jobs))

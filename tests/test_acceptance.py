@@ -260,6 +260,9 @@ def test_criterion_9_cli_byte_determinism(capsys, tmp_path):
         ("walk", "--n", "64", "--replicates", "40"),
         ("gamma", "--cn", "2", "--m", "64", "--bins", "16", "--replicates", "40"),
         ("ks-stat", "--n", "64", "--m", "64", "--bins", "16", "--replicates", "40"),
+        ("delta", "--m", "64", "--bins", "16", "--replicates", "40"),
+        ("ecf-check", "--n", "64", "--cn", "2", "--m", "64", "--bins", "16", "--replicates", "40",
+         "--oracle-replicates", "40"),
     ):
         outputs = {jobs: run(*args, "--jobs", jobs) for jobs in ("1", "2", "3")}
         checks[args[0]] = outputs["1"] == outputs["2"] == outputs["3"]

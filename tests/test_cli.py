@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from rwrs import NumericalError, UsageError
-from rwrs.cli import main, parse_config
+from rwrs.cli import RunConfig, main, parse_config
 
 _FAST_WALK = ["walk", "--n", "64", "--replicates", "10"]
 
@@ -136,8 +136,60 @@ def test_main_maps_numerical_failures_to_exit_2(monkeypatch):
     def boom(cfg):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setitem(cli_mod._RUNNERS, "walk", boom)
+    monkeypatch.setitem(cli_mod._COMMANDS, "walk", cli_mod._COMMANDS["walk"]._replace(run=boom))
     assert main(_FAST_WALK) == 2
+
+
+def test_default_jobs_count_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parse_config(["walk"]).resolved_jobs() == 1
+    assert parse_config(["walk", "--jobs", "3"]).resolved_jobs() == 3
+
+
+def test_one_table_each_for_fields_and_commands(tmp_path, capsys):
+    from rwrs import cli as cli_mod
+
+    names = [field.name for field in dataclasses.fields(RunConfig)]
+    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+    configurable = [name for name in names if name not in ("command", "assert_mode")]
+    # a value other than the default for every field, as flag or config-file text
+    texts = {
+        "hurst": "0.6", "beta": "1.5", "sigma": "2", "n": "100", "cn": "3", "m": "128",
+        "bins": "16", "replicates": "7", "oracle_replicates": "9", "times": "0.5,1",
+        "u": "1,3", "seed": "5", "scenery": "pareto", "site_convention": "floor",
+        "output": "x.csv", "jobs": "3",
+    }
+    assert sorted(texts) == sorted(configurable)
+    parser = cli_mod._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert list(commands) == list(cli_mod._COMMANDS)
+    for command, sub in commands.items():
+        flags = {}
+        for action in sub._actions:
+            if action.dest not in ("help", "config", "assert_mode"):
+                flags.setdefault(action.dest, []).extend(action.option_strings)
+        # exactly one flag per field
+        assert flags == {name: ["--" + name.replace("_", "-")] for name in configurable}
+        assert ("--assert" in sub._option_string_actions) == cli_mod._COMMANDS[command].asserts
+        # --help shows each RunConfig default
+        with pytest.raises(SystemExit):
+            parse_config([command, "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        for name in configurable:
+            if defaults[name] is not None:
+                assert f"default {cli_mod._format_value(defaults[name])}" in shown, name
+    # exactly one config key per field, read as its flag is
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{name} = {text}\n" for name, text in texts.items()))
+    from_file = parse_config(["walk", "--config", str(config)])
+    flags = [arg for name, text in texts.items() for arg in ("--" + name.replace("_", "-"), text)]
+    assert parse_config(["walk", *flags]) == from_file
+    assert all(getattr(from_file, name) != defaults[name] for name in configurable)
+    # the header: every field but the runtime knobs, in RunConfig order
+    assert main(["walk", "--n", "16", "--replicates", "2"]) == 0
+    header = [line[2:].split("=", 1)[0] for line in capsys.readouterr().out.splitlines() if "=" in line]
+    assert header == [name for name in names if name not in ("output", "jobs", "assert_mode")]
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +339,35 @@ def test_cli_output_file_matches_stdout_bytes(tmp_path):
     assert target.read_text() == to_stdout.stdout
     # with --output the summary moves to stdout
     assert "schema:" in to_file.stdout
+
+
+def test_cli_unwritable_output_is_a_usage_error(tmp_path):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        proc = run_cli(*_FAST_WALK, "--output", str(target))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"rwrs: error: cannot write {target}: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    if os.path.exists("/dev/full"):
+        # the open succeeds and the write fails
+        proc = run_cli(*_FAST_WALK, "--output", "/dev/full")
+        assert proc.returncode == 1
+        assert proc.stderr == "rwrs: error: cannot write /dev/full: No space left on device\n"
+
+
+def test_output_is_checked_before_drawing_and_kept_on_failure(tmp_path, monkeypatch, capsys):
+    from rwrs import cli as cli_mod
+
+    def boom(cfg):
+        raise NumericalError("synthetic failure")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "walk", cli_mod._COMMANDS["walk"]._replace(run=boom))
+    assert main([*_FAST_WALK, "--output", str(tmp_path)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    existing = tmp_path / "kept.csv"
+    existing.write_text("earlier table\n")
+    assert main([*_FAST_WALK, "--output", str(existing)]) == 2
+    assert existing.read_text() == "earlier table\n"
 
 
 def test_cli_byte_identical_across_jobs():

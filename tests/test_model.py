@@ -22,7 +22,7 @@ from rwrs import (
     walk_variance,
 )
 from rwrs.model import grid_floor
-from rwrs.streams import spawn_rng
+from rwrs.streams import replicate_map, spawn_rng
 
 NAN = float("nan")
 INF = float("inf")
@@ -58,6 +58,7 @@ def test_cli_and_library_word_each_rule_alike():
         (["walk", "--sigma", "inf"], lambda: StableParams(beta=1.5, sigma=math.inf)),
         (["walk", "--times", "1,0.5"], lambda: sample_stable_motion(1, [1.0, 0.5], MODEL, 64, 16, seed=0)),
         (["walk", "--bins", "2"], lambda: sample_stable_motion(1, [1.0], MODEL, 64, 2, seed=0)),
+        (["walk", "--jobs", "0"], lambda: replicate_map(abs, 1, jobs=0)),
     ):
         with pytest.raises(UsageError) as from_cli:
             parse_config(argv)
