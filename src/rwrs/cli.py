@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 from typing import Callable, IO, NamedTuple, Sequence
 
@@ -154,7 +155,8 @@ _FIELDS = {
 
 
 def _read_config_file(path: str) -> dict[str, object]:
-    """Flat ``key = value`` pairs, one per line, ``#`` starts a comment."""
+    """Flat ``key = value`` pairs, one per line.  ``#`` starts a comment at
+    the start of a line or after whitespace, so ``run#1.csv`` keeps its ``#``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -162,7 +164,7 @@ def _read_config_file(path: str) -> dict[str, object]:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
+        body = re.sub(r"(?:^|\s)#.*", "", line).strip()
         if not body:
             continue
         if "=" not in body:
@@ -188,7 +190,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"rwrs {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("configuration (flag > config file > RWRS_SEED > default)")
-    group.add_argument("--config", metavar="FILE", help="flat key = value config file, # comments")
+    config_help = "flat key = value config file; # starts a comment at line start or after whitespace"
+    group.add_argument("--config", metavar="FILE", help=config_help)
     defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
     for name, field in _FIELDS.items():
         default = defaults[name]

@@ -26,7 +26,7 @@ from .local_times import (
     range_count,
     self_intersections,
 )
-from .limit import estimate_power_integral_mean, limit_cf_target, power_integral_draws, sample_stable_motion
+from .limit import _motion_rows, estimate_power_integral_mean, limit_cf_target, power_integral_draws
 from .model import ModelParams, SchemaConfig, check_error_replicates, delta_exponent, grid_floor
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind
@@ -104,17 +104,9 @@ def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 
 # --- trajectory samples -------------------------------------------------
 
 
-def _schema_block(
-    config: SchemaConfig,
-    model: ModelParams,
-    seed: int,
-    kind: SceneryKind,
-    convention: str,
-    indices: np.ndarray,
-) -> np.ndarray:
-    # replicate r draws the schema seeded by stream_key(seed, r)
-    keys = stream_words(seed, indices)[:, 0]
-    return _copy_rows(config, model, keys, range(config.copies), kind, None, convention)
+def _keyed_block(indices: np.ndarray, seed: int, rows: Callable) -> np.ndarray:
+    """``rows(keys)`` of a block of replicates: replicate r draws from the seed stream_key(seed, r)."""
+    return rows(stream_words(seed, indices)[:, 0])
 
 
 def schema_copy_samples(
@@ -134,8 +126,11 @@ def schema_copy_samples(
     give the c-copy schema of the same replicates.
     """
     config = SchemaConfig(n=n, copies=copies, times=tuple(times))
-    draw = functools.partial(_schema_block, config, model, seed, kind, convention)
-    return replicate_blocks(draw, replicates, jobs)
+    rows = functools.partial(
+        _copy_rows, copies=range(copies), config=config, model=model, kind=kind,
+        scenery_for_copy=None, convention=convention,
+    )
+    return replicate_blocks(functools.partial(_keyed_block, seed=seed, rows=rows), replicates, jobs)
 
 
 def schema_samples(
@@ -159,11 +154,6 @@ def schema_samples(
     return superpose(rows, model.beta)
 
 
-def _motion_block(indices: np.ndarray, seed: int, **params) -> np.ndarray:
-    keys = stream_words(seed, indices)[:, 0].tolist()
-    return np.asarray([sample_stable_motion(seed=key, **params) for key in keys], dtype=np.float64)
-
-
 def stable_motion_samples(
     model: ModelParams,
     copies: int,
@@ -179,16 +169,11 @@ def stable_motion_samples(
     Replicate r is ``sample_stable_motion`` seeded by ``stream_key(seed,
     r)``; ``copies = 1`` gives raw local-time stable integrals.
     """
-    worker = functools.partial(
-        _motion_block,
-        seed=seed,
-        copies=copies,
-        times=tuple(float(t) for t in times),
-        model=model,
-        m=m,
-        bins=bins,
+    rows = functools.partial(
+        _motion_rows, copies=copies, times=tuple(float(t) for t in times), model=model, m=m, bins=bins
     )
-    return replicate_blocks(worker, replicates, jobs)
+    draws = replicate_blocks(functools.partial(_keyed_block, seed=seed, rows=rows), replicates, jobs)
+    return superpose(draws, model.beta)
 
 
 # --- occupation scaling -------------------------------------------------

@@ -112,11 +112,12 @@ def _fgn_blocks(
 
     Yields (rows, n) arrays of at most ``_ROW_BLOCK`` rows, in the order
     of ``rngs``; with ``walk``, (rows, n + 1) arrays of the partial sums
-    S_0 = 0, ..., S_n instead.  Each row's normals come from that row's
-    own generator, in the order ``sample_fgn`` draws them, and every
-    element sees the same arithmetic, so each row is byte for byte the
-    path its generator gives alone.  A yielded block is a view of a
-    workspace that the next block overwrites.
+    S_0 = 0, ..., S_n instead, the one place a walk is summed.  Each
+    row's normals come from that row's own generator, in the order
+    ``sample_fgn`` draws them, and every element sees the same
+    arithmetic, so each row is byte for byte the path its generator
+    gives alone.  A yielded block is a view of a workspace that the next
+    block overwrites.
     """
     check_hurst(hurst)
     check_sizes(n=n)
@@ -186,19 +187,14 @@ def sample_fgn(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class WalkPath:
-    """A walk started at 0 with its generating increments.
-
-    ``sums`` has length n + 1 with ``sums[0] == 0`` and
-    ``sums[k] - sums[k-1] == increments[k-1]``.
-    """
+    """The positions S_0 = 0, S_1, ..., S_n of a walk; ``sums`` has length n + 1."""
 
     hurst: float
-    increments: np.ndarray
     sums: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.increments)
+        return len(self.sums) - 1
 
 
 def _walk_paths(n: int, hurst: float, rngs: Sequence[np.random.Generator]) -> Iterator[WalkPath]:
@@ -206,11 +202,9 @@ def _walk_paths(n: int, hurst: float, rngs: Sequence[np.random.Generator]) -> It
 
     Each walk is byte for byte the one its generator gives alone.
     """
-    for block in _fgn_blocks(n, hurst, rngs):
-        for increments in block:
-            sums = np.zeros(n + 1, dtype=np.float64)
-            np.cumsum(increments, out=sums[1:])
-            yield WalkPath(hurst=hurst, increments=increments.copy(), sums=sums)
+    for block in _fgn_blocks(n, hurst, rngs, walk=True):
+        for sums in block:
+            yield WalkPath(hurst=hurst, sums=sums.copy())
 
 
 def sample_walk(n: int, hurst: float, rng: np.random.Generator) -> WalkPath:

@@ -22,9 +22,11 @@ row's bins are offset onto their own slots so that one ``bincount`` per
 time counts the whole block, and the noises of a block go through one
 stable transform.  Each row gets the same bytes as one path at a time;
 ``fbm_local_time`` and ``sample_local_time_integral`` are the one-row
-case.  The oracle maps fixed blocks of replicate indices through
-``streams.replicate_blocks``, so its output does not depend on the
-worker count.
+case.  The copies of a block of stable-motion draws are drawn as one
+block of rows by ``_motion_rows``, the twin of the schema's copy rows;
+``sample_stable_motion`` is its one-seed case.  The oracle maps fixed
+blocks of replicate indices through ``streams.replicate_blocks``, so its
+output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -38,11 +40,9 @@ import numpy as np
 from .errors import UsageError
 from .fgn import FbmGrid, _fbm_blocks
 from .model import ModelParams, check_beta, check_error_replicates, check_sizes, check_times, grid_floor
+from .schema import superpose
 from .stable import StableParams, _stable_rows
-from .streams import ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, SeededRngs, replicate_blocks, stream_words
-
-# the walk and noise roles of one copy's substreams
-_ROLES = np.array([ROLE_WALK, ROLE_NOISE], dtype=np.uint64)
+from .streams import ROLE_NOISE, ROLE_ORACLE, SeededRngs, _copy_words, replicate_blocks, stream_words
 
 __all__ = [
     "LocalTimeGrid",
@@ -248,6 +248,31 @@ def sample_local_time_integral(
     return _local_time_integrals([fbm_local_time(path, times, bins)], noise, [rng])[0]
 
 
+def _motion_rows(
+    seeds: Sequence[int], copies: int, times: Sequence[float], model: ModelParams, m: int, bins: int
+) -> np.ndarray:
+    """Delta(t) of ``copies`` copies of each draw seed, shape (len(seeds), copies, len(times)).
+
+    The twin of ``schema._copy_rows``: the walk and noise streams of every
+    copy of every seed are derived in one ``_copy_words`` pass, and the
+    paths of all of them are drawn, box-counted and integrated a block of
+    rows at a time, each row with the values it has alone.
+    """
+    check_sizes(copies=copies, bins=bins)
+    times = np.asarray(check_times(times))
+    noise = StableParams(beta=model.beta, sigma=model.sigma)
+    words = _copy_words(seeds, range(copies), ROLE_NOISE)
+    walks, noises = SeededRngs(words[:, 0]), SeededRngs(words[:, 1])
+    rows = np.empty((len(words), times.size), dtype=np.float64)
+    start = 0
+    for values in _fbm_blocks(m, float(times[-1]), model.hurst, walks):
+        stop = start + len(values)
+        grids = _box_counts(values, m, times, bins)
+        rows[start:stop] = _local_time_integrals(grids, noise, noises[start:stop])
+        start = stop
+    return rows.reshape(len(seeds), copies, times.size)
+
+
 def sample_stable_motion(
     copies: int,
     times: Sequence[float],
@@ -263,20 +288,7 @@ def sample_stable_motion(
     with each Delta_i built from an independent fBm path and noise.
     This converges in law, as copies grows, to the local-time
     fractional stable motion that the reward schema also targets;
-    copies = 1 is a single Delta draw.  The copies' paths are drawn,
-    box-counted and integrated a block of rows at a time, each copy
-    from its own streams, with the same values as one copy at a time.
+    copies = 1 is a single Delta draw.  It is the one-seed case of
+    ``_motion_rows``, superposed as the schema superposes its copies.
     """
-    check_sizes(copies=copies, bins=bins)
-    times = np.asarray(check_times(times))
-    noise = StableParams(beta=model.beta, sigma=model.sigma)
-    rows = np.empty((copies, times.size), dtype=np.float64)
-    words = stream_words(seed, np.arange(copies, dtype=np.uint64)[:, np.newaxis], _ROLES)
-    walks, noises = SeededRngs(words[:, 0]), SeededRngs(words[:, 1])
-    start = 0
-    for values in _fbm_blocks(m, float(times[-1]), model.hurst, walks):
-        stop = start + len(values)
-        grids = _box_counts(values, m, times, bins)
-        rows[start:stop] = _local_time_integrals(grids, noise, noises[start:stop])
-        start = stop
-    return float(copies) ** (-1.0 / model.beta) * rows.sum(axis=0)
+    return superpose(_motion_rows([seed], copies, times, model, m, bins)[0], model.beta)

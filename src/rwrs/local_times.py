@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fgn import WalkPath
-from .model import ModelParams, check_finite, grid_floor
+from .model import ModelParams, check_finite, check_horizon, grid_floor
 from .stable import Scenery
 
 __all__ = [
@@ -72,13 +72,6 @@ class LocalTimeProfile:
     counts: np.ndarray
 
 
-def _check_horizon(path: WalkPath, n) -> int:
-    n = path.n if n is None else int(n)
-    if not 0 <= n <= path.n:
-        raise UsageError(f"horizon {n} outside [0, {path.n}]")
-    return n
-
-
 def local_time_profiles(
     path: WalkPath, horizons: Sequence[int], convention: str = SITE_CEIL
 ) -> dict[int, LocalTimeProfile]:
@@ -87,7 +80,7 @@ def local_time_profiles(
     Counts each step once, which matters when horizons ladder up a
     single long path.
     """
-    horizons = sorted({_check_horizon(path, h) for h in horizons})
+    horizons = sorted({check_horizon(h, path.n) for h in horizons})
     all_sites = site_of(path.sums[: horizons[-1] + 1], convention)
     lo = int(all_sites.min())
     width = int(all_sites.max()) - lo + 1
@@ -143,7 +136,7 @@ def reward_series(
     ``scenery`` may be a keyed ``Scenery`` or a callable taking a site
     array.  Each visited site's value is looked up once.
     """
-    n = _check_horizon(path, n)
+    n = check_horizon(n, path.n)
     visited, step_site = np.unique(site_of(path.sums[: n + 1], convention), return_inverse=True)
     return RewardSeries(n=n, values=np.cumsum(_scenery_values(scenery, visited)[step_site]))
 

@@ -84,6 +84,14 @@ def check_times(times: Iterable[float], horizon: float = math.inf) -> tuple[floa
     return times
 
 
+def check_horizon(n: int | None, steps: int) -> int:
+    """A horizon within the ``steps`` steps of a path, ``steps`` itself when ``n`` is None."""
+    n = steps if n is None else int(n)
+    if not 0 <= n <= steps:
+        raise UsageError(f"horizon {n} outside [0, {steps}]")
+    return n
+
+
 def grid_floor(x):
     """The grid horizon floor(x) of a finite product x = n * t, the one rule for every grid.
 

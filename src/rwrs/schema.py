@@ -36,19 +36,16 @@ from .fgn import _fgn_blocks
 from .local_times import SITE_CEIL, SceneryLike, _row_values, _walk_rewards
 from .model import ModelParams, SchemaConfig, grid_floor
 from .stable import SceneryKind, StableParams, _keyed_values
-from .streams import ROLE_SCENERY, ROLE_WALK, SeededRngs, _word64_array, stream_words
+from .streams import ROLE_SCENERY, SeededRngs, _copy_words
 
 __all__ = ["sample_reward_process", "sample_reward_schema", "superpose"]
 
-# the walk and scenery roles of one copy's substreams
-_ROLES = np.array([ROLE_WALK, ROLE_SCENERY], dtype=np.uint64)
-
 
 def _copy_rows(
-    config: SchemaConfig,
-    model: ModelParams,
     seeds: Sequence[int],
     copies: Sequence[int],
+    config: SchemaConfig,
+    model: ModelParams,
     kind: SceneryKind,
     scenery_for_copy: Callable[[int], SceneryLike] | None,
     convention: str,
@@ -56,10 +53,11 @@ def _copy_rows(
     """D_n at ``config.times`` of each copy index in ``copies`` of each draw seed.
 
     Returns shape (len(seeds), len(copies), len(times)).  The streams of
-    every copy of every seed are derived in one pass, the walks are drawn
-    through the row-block fGn sampler, each generator made when its row
-    block needs it, and the rewards come from the occupation counts of
-    the stretches between the integer steps around each n t.
+    every copy of every seed are derived in one ``_copy_words`` pass, as
+    ``limit._motion_rows`` derives them; the walks are drawn through the
+    row-block fGn sampler, each generator made when its row block needs
+    it, and the rewards come from the occupation counts of the stretches
+    between the integer steps around each n t.
     """
     n = config.n
     # each walk takes one step beyond the last time, as it always has: its
@@ -71,14 +69,12 @@ def _copy_rows(
     j = below.astype(np.int64)
     # Z is needed at floor(n t), and at floor(n t) + 1 where n t is off the lattice
     horizons, column = np.unique(np.concatenate([j, j + (frac != 0.0)]), return_inverse=True)
-    words = stream_words(
-        _word64_array(seeds)[:, np.newaxis, np.newaxis], _word64_array(copies)[:, np.newaxis], _ROLES
-    )
-    n_rows = len(seeds) * len(copies)
-    walks = SeededRngs(words[:, :, 0].reshape(n_rows, -1))
+    words = _copy_words(seeds, copies, ROLE_SCENERY)
+    n_rows = len(words)
+    walks = SeededRngs(words[:, 0])
     if scenery_for_copy is None:
         params = StableParams(beta=model.beta, sigma=model.sigma)
-        keys = words[:, :, 1, 0].ravel()
+        keys = words[:, 1, 0]
         values_at = lambda rows, sites: _keyed_values(kind, params, keys[rows], sites)
     else:
         sceneries = [scenery_for_copy(i) for _ in range(len(seeds)) for i in copies]
@@ -130,7 +126,7 @@ def sample_reward_process(
     """
     config = SchemaConfig(n=n, copies=1, times=tuple(times))
     injected = None if scenery is None else (lambda i: scenery)
-    return _copy_rows(config, model, [seed], [copy], kind, injected, convention)[0, 0]
+    return _copy_rows([seed], [copy], config, model, kind, injected, convention)[0, 0]
 
 
 def sample_reward_schema(
@@ -148,5 +144,5 @@ def sample_reward_schema(
     on the same seed.  ``scenery_for_copy`` optionally injects a
     scenery per copy index, for controlled experiments.
     """
-    rows = _copy_rows(config, model, [seed], range(config.copies), kind, scenery_for_copy, convention)
+    rows = _copy_rows([seed], range(config.copies), config, model, kind, scenery_for_copy, convention)
     return superpose(rows[0], model.beta)

@@ -54,9 +54,6 @@ _XSHIFT = np.uint32(16)
 # seed words per stream: PCG64 seeds from four 64-bit words, and the
 # first of them is the stream's key
 _SEED_WORDS = 4
-# below this many streams, numpy's one-at-a-time derivation is faster
-# than the fixed cost of the column arithmetic
-_BLOCK_MIN_STREAMS = 12
 # replicate indices per task of ``replicate_blocks``; the blocks do not
 # depend on the worker count
 _REPLICATE_BLOCK = 16
@@ -211,20 +208,27 @@ def stream_words(seed, *path) -> np.ndarray:
     trailing axis of ``_SEED_WORDS`` uint64 words, what the stream's
     ``SeedSequence`` gives as ``generate_state(4, np.uint64)``.  The first
     word is ``stream_key(seed, *path)``, and ``SeededRngs`` makes the
-    streams' generators from the words.  All streams are derived in one
-    vectorised pass; only a few streams go through numpy one at a time.
+    streams' generators from the words.  All streams, one or many, are
+    derived in one vectorised pass.
     """
     length, *values = _entropy(seed, path)
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in values))
-    shape = columns[0].shape
-    count = columns[0].size
-    if count < _BLOCK_MIN_STREAMS:
-        words = [
-            _seed_sequence(entry[0], entry[1:]).generate_state(_SEED_WORDS, np.uint64)
-            for entry in zip(*(c.ravel().tolist() for c in columns))
-        ]
-        return np.array(words, dtype=np.uint64).reshape(*shape, _SEED_WORDS)
-    return _block_seed_words((length, *(c.ravel() for c in columns)), count).reshape(*shape, _SEED_WORDS)
+    words = _block_seed_words((length, *(c.ravel() for c in columns)), columns[0].size)
+    return words.reshape(*columns[0].shape, _SEED_WORDS)
+
+
+def _copy_words(seeds: Sequence[int], copies: Sequence[int], role: int) -> np.ndarray:
+    """Seed words of the walk stream and the ``role`` stream of each copy of each draw seed.
+
+    Copy i of the draw seeded by s has the streams (s, i, walk role) and
+    (s, i, ``role``).  Returns shape (len(seeds) * len(copies), 2,
+    _SEED_WORDS), one row per (seed, copy) pair, seed-major, holding its
+    walk words then its ``role`` words.
+    """
+    roles = np.array([ROLE_WALK, role], dtype=np.uint64)
+    seeds, copies = _word64_array(seeds), _word64_array(copies)
+    words = stream_words(seeds[:, np.newaxis, np.newaxis], copies[:, np.newaxis], roles)
+    return words.reshape(-1, 2, _SEED_WORDS)
 
 
 class SeededRngs(Sequence[np.random.Generator]):

@@ -10,6 +10,6 @@ def make_path():
 
     def build(sums, hurst: float = 0.5) -> WalkPath:
         sums = np.asarray(sums, dtype=np.float64)
-        return WalkPath(hurst=hurst, increments=np.diff(sums), sums=sums)
+        return WalkPath(hurst=hurst, sums=sums)
 
     return build

@@ -115,6 +115,23 @@ def test_config_file_layering(tmp_path, monkeypatch):
     assert parse_config(["rwrs", "--config", str(config)]).seed == 17
 
 
+def test_config_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    target = tmp_path / "run#1.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "#seed = 9\n"
+        "  # an indented comment\n"
+        f"output = {target}\n"
+        "seed = 5\t# a tab before the comment\n"
+        "hurst = 0.7  # note\n"
+    )
+    cfg = parse_config(["walk", "--config", str(config)])
+    assert (cfg.output, cfg.seed, cfg.hurst) == (str(target), 5, 0.7)
+    assert main(["walk", "--n", "16", "--replicates", "2", "--config", str(config)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+    assert "# seed=5\n" in target.read_text()
+
+
 def test_config_file_errors(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("hurts = 0.7\n")

@@ -118,15 +118,12 @@ def _assert_block_matches_numpy(seed, indices, roles):
             assert type(keys[k]) is int
 
 
-@pytest.mark.parametrize("vectorised", [False, True])
+@pytest.mark.parametrize("roles", [ROLES, (ROLE_SCENERY,)], ids=["all-roles", "scenery"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_stream_words_of_index_blocks_match_numpy_seed_sequence(seed, vectorised, monkeypatch):
-    if vectorised:
-        # every block through the column arithmetic, down to one stream
-        monkeypatch.setattr(streams, "_BLOCK_MIN_STREAMS", 0)
+def test_stream_words_of_index_blocks_match_numpy_seed_sequence(seed, roles):
+    # every block goes through the column arithmetic, down to one stream
     for indices in INDEX_BLOCKS:
-        _assert_block_matches_numpy(seed, indices, ROLES)
-        _assert_block_matches_numpy(seed, indices, (ROLE_SCENERY,))
+        _assert_block_matches_numpy(seed, indices, roles)
 
 
 def test_stream_words_of_a_range_match_numpy():
@@ -143,8 +140,8 @@ MIXED_SEEDS = (0, 5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1)
     "seeds, copies, roles",
     [
         ((2**40,), (3,), (ROLE_SCENERY,)),  # one stream
-        ((7, 2**33), (0, 2**32 + 1), (ROLE_WALK, ROLE_SCENERY)),  # 8 streams, numpy one at a time
-        (MIXED_SEEDS, (0,), (ROLE_WALK, ROLE_SCENERY)),  # 12 streams, the column arithmetic
+        ((7, 2**33), (0, 2**32 + 1), (ROLE_WALK, ROLE_SCENERY)),  # 8 streams
+        (MIXED_SEEDS, (0,), (ROLE_WALK, ROLE_SCENERY)),  # 12 streams
         (MIXED_SEEDS, (0, 1, 2**32 + 7), (ROLE_WALK, ROLE_SCENERY)),  # 36 streams
     ],
 )
