@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import re
 import sys
@@ -38,53 +39,6 @@ from .model import (
 from .stable import SceneryKind
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration; every field lands in the CSV header
-    except the runtime knobs ``output``, ``jobs`` and ``assert_mode``."""
-
-    command: str
-    hurst: float = 0.5
-    beta: float = 2.0
-    sigma: float = 1.0
-    n: int = 2048
-    cn: int = 32
-    m: int = 4096
-    bins: int = 512
-    replicates: int = 500
-    oracle_replicates: int = 2000
-    times: tuple[float, ...] = (0.25, 0.5, 1.0)
-    u: tuple[float, ...] = (0.5, 1.0, 2.0)
-    seed: int = 0
-    scenery: str = SceneryKind.EXACT_STABLE.value
-    site_convention: str = SITE_CEIL
-    output: str | None = None
-    jobs: int | None = None
-    assert_mode: bool = False
-
-    @property
-    def model(self) -> ModelParams:
-        return ModelParams(hurst=self.hurst, beta=self.beta, sigma=self.sigma)
-
-    @property
-    def kind(self) -> SceneryKind:
-        return SceneryKind(self.scenery)
-
-    def resolved_jobs(self) -> int:
-        """``jobs``, by default the number of CPUs this process may run on."""
-        if self.jobs is not None:
-            return self.jobs
-        # a cpuset or taskset can leave a process fewer CPUs than the machine has
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-
-
-_KNOBS = ("output", "jobs", "assert_mode")
-# the configuration a table records, in RunConfig order
-_HEADER = tuple(field.name for field in dataclasses.fields(RunConfig) if field.name not in _KNOBS)
 
 
 # --- configuration fields ------------------------------------------------
@@ -114,44 +68,82 @@ def _parse_float(name: str, text: str) -> float:
         raise UsageError(f"{name}: expected a real number, got {text!r}") from exc
 
 
-class _Field(NamedTuple):
-    """How a configuration field reads its flag or config-file text, and its help."""
+def _option(default, parse: Callable[[str, str], object], help: str, knob: bool = False):
+    """A configuration field that is an option: the flag --name (underscores
+    as dashes) and the config-file key name, whose text ``parse`` reads.
+    --help shows ``help`` and the default.  A runtime ``knob`` stays out of
+    the CSV header."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "help": help, "knob": knob})
 
-    parse: Callable[[str, str], object]
-    help: str
 
-
-def _choice(help: str, *choices: str) -> _Field:
+def _choice(default: str, help: str, *choices: str):
     def parse(name: str, text: str) -> str:
         if text not in choices:
             raise UsageError(f"{name} must be {' or '.join(map(repr, choices))}, got {text!r}")
         return text
 
-    return _Field(parse, f"{help} ({' or '.join(choices)})")
+    return _option(default, parse, f"{help} ({' or '.join(choices)})")
 
 
-# One row per configuration field: the flag --name (underscores as dashes)
-# and the config-file key name.  --help adds the RunConfig default.
-_FIELDS = {
-    "hurst": _Field(_parse_float, "Hurst index in (0, 1)"),
-    "beta": _Field(_parse_float, "stability index in (0, 2]"),
-    "sigma": _Field(_parse_float, "stable scale > 0"),
-    "n": _Field(_parse_int, "walk time scale"),
-    "cn": _Field(_parse_int, "number of superposed copies"),
-    "m": _Field(_parse_int, "fBm grid steps per unit time"),
-    "bins": _Field(_parse_int, "local-time spatial bins"),
-    "replicates": _Field(_parse_int, "Monte Carlo replicates"),
-    "oracle_replicates": _Field(_parse_int, "replicates for the limit-energy oracle"),
-    "times": _Field(_parse_float_list, "comma-separated evaluation times"),
-    "u": _Field(_parse_float_list, "comma-separated CF frequencies"),
-    "seed": _Field(_parse_int, "64-bit master seed (RWRS_SEED overrides the default)"),
-    "scenery": _choice("scenery kind", *(kind.value for kind in SceneryKind)),
-    "site_convention": _choice("lattice site map applied to walk positions", SITE_CEIL, SITE_FLOOR),
-    "output": _Field(lambda name, text: text, "CSV destination, default stdout"),
-    "jobs": _Field(
-        _parse_int, "worker processes, default the CPUs this process may run on; never affects results"
-    ),
-}
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """Resolved run configuration, and the one table of options: every
+    field but ``command`` and ``assert_mode`` is one, and every field but
+    the runtime knobs ``output``, ``jobs`` and ``assert_mode`` lands in the
+    CSV header."""
+
+    command: str
+    hurst: float = _option(0.5, _parse_float, "Hurst index in (0, 1)")
+    beta: float = _option(2.0, _parse_float, "stability index in (0, 2]")
+    sigma: float = _option(1.0, _parse_float, "stable scale > 0")
+    n: int = _option(2048, _parse_int, "walk time scale")
+    cn: int = _option(32, _parse_int, "number of superposed copies")
+    m: int = _option(4096, _parse_int, "fBm grid steps per unit time")
+    bins: int = _option(512, _parse_int, "local-time spatial bins")
+    replicates: int = _option(500, _parse_int, "Monte Carlo replicates")
+    oracle_replicates: int = _option(2000, _parse_int, "replicates for the limit-energy oracle")
+    times: tuple[float, ...] = _option(
+        (0.25, 0.5, 1.0), _parse_float_list, "comma-separated evaluation times"
+    )
+    u: tuple[float, ...] = _option((0.5, 1.0, 2.0), _parse_float_list, "comma-separated CF frequencies")
+    seed: int = _option(0, _parse_int, "64-bit master seed (RWRS_SEED overrides the default)")
+    scenery: str = _choice(
+        SceneryKind.EXACT_STABLE.value, "scenery kind", *(kind.value for kind in SceneryKind)
+    )
+    site_convention: str = _choice(
+        SITE_CEIL, "lattice site map applied to walk positions", SITE_CEIL, SITE_FLOOR
+    )
+    output: str | None = _option(
+        None, lambda name, text: text, "CSV destination, default stdout", knob=True
+    )
+    jobs: int | None = _option(
+        None, _parse_int,
+        "worker processes, default the CPUs this process may run on; never affects results", knob=True,
+    )
+    assert_mode: bool = dataclasses.field(default=False, metadata={"knob": True})
+
+    @property
+    def model(self) -> ModelParams:
+        return ModelParams(hurst=self.hurst, beta=self.beta, sigma=self.sigma)
+
+    @property
+    def kind(self) -> SceneryKind:
+        return SceneryKind(self.scenery)
+
+    def resolved_jobs(self) -> int:
+        """``jobs``, by default the number of CPUs this process may run on."""
+        if self.jobs is not None:
+            return self.jobs
+        # a cpuset or taskset can leave a process fewer CPUs than the machine has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+
+
+# the options by name, in RunConfig order
+_FIELDS = {field.name: field for field in dataclasses.fields(RunConfig) if "parse" in field.metadata}
+# the configuration a table records, in RunConfig order
+_HEADER = tuple(field.name for field in dataclasses.fields(RunConfig) if not field.metadata.get("knob"))
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -173,7 +165,7 @@ def _read_config_file(path: str) -> dict[str, object]:
         key = key.strip()
         if key not in _FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _FIELDS[key].parse(key, text.strip())
+        values[key] = _FIELDS[key].metadata["parse"](key, text.strip())
     return values
 
 
@@ -192,11 +184,9 @@ def _build_parser() -> _Parser:
     group = common.add_argument_group("configuration (flag > config file > RWRS_SEED > default)")
     config_help = "flat key = value config file; # starts a comment at line start or after whitespace"
     group.add_argument("--config", metavar="FILE", help=config_help)
-    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
     for name, field in _FIELDS.items():
-        default = defaults[name]
-        shown = "" if default is None else f", default {_format_value(default)}"
-        group.add_argument("--" + name.replace("_", "-"), dest=name, help=field.help + shown)
+        shown = "" if field.default is None else f", default {_format_value(field.default)}"
+        group.add_argument("--" + name.replace("_", "-"), dest=name, help=field.metadata["help"] + shown)
 
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
@@ -228,7 +218,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     for name, field in _FIELDS.items():
         text = getattr(namespace, name)
         if text is not None:
-            values[name] = field.parse(name, text)
+            values[name] = field.metadata["parse"](name, text)
     values["assert_mode"] = bool(getattr(namespace, "assert_mode", False))
     config = RunConfig(command=namespace.command, **values)
     _validate(config)
@@ -451,6 +441,11 @@ def run(cfg: RunConfig) -> int:
         # fail before any draw; appending nothing keeps an existing file as it is
         _write_file(cfg.output, "a", lambda handle: None)
     rows, summary, windows = command.run(cfg)
+    # a non-finite value fails the run before anything is written
+    for i, row in enumerate(rows):
+        for name, cell in zip(command.columns, row):
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise NumericalError(f"non-finite {name} in table row {i}: {cell!r}")
     summary, code = _verdict(cfg, f"{cfg.command}: {summary}", windows)
     if cfg.output is None:
         _write_csv(sys.stdout, cfg, command.columns, rows)

@@ -16,8 +16,8 @@ increments; the first n of them are kept, and a prefix of an exact
 stationary sample is itself exact (Wood & Chan 1994).  For this
 covariance the eigenvalues are nonnegative for all H in (0, 1); if
 rounding ever produces a negative one, sampling fails loudly.  The check
-runs once per (n, H) and its verdict is cached with the eigenvalues it
-checked.
+runs once per (n, H), and only the scales derived from eigenvalues that
+passed it are cached.
 
 Many paths are drawn in blocks of rows: each row takes its normals from
 its own generator, the weights of the whole block are built in place,
@@ -73,19 +73,18 @@ def _fast_length(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=8)
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """Eigenvalues of the order-2N circulant, N = _fast_length(n), cached per (n, H)."""
+    """Eigenvalues of the order-2N circulant, N = _fast_length(n)."""
     size = _fast_length(n)
     row = fgn_covariance(np.arange(size + 1), hurst)
     circ = np.concatenate([row, row[size - 1 : 0 : -1]])
-    eig = np.fft.fft(circ).real
-    eig.flags.writeable = False
-    return eig
+    return np.fft.fft(circ).real
 
 
-def _spectral_scale(eig: np.ndarray, n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(max(eig, 0) / order) of a nonnegative embedding, and its [1, N) slice over sqrt(2)."""
+@functools.lru_cache(maxsize=8)
+def _spectrum(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(eig / order) of the embedding and its [1, N) slice over sqrt(2), checked once per (n, H)."""
+    eig = _embedding_eigenvalues(n, hurst)
     if eig.min() < -_EIG_TOL * eig.max():
         raise NumericalError(
             f"circulant embedding not nonnegative for n={n}, hurst={hurst} "
@@ -96,13 +95,6 @@ def _spectral_scale(eig: np.ndarray, n: int, hurst: float) -> tuple[np.ndarray, 
     scale.flags.writeable = False
     half.flags.writeable = False
     return scale, half
-
-
-@functools.lru_cache(maxsize=8)
-def _checked_spectrum(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The embedding's eigenvalues, which passed the check, and the scales derived from them."""
-    eig = _embedding_eigenvalues(n, hurst)
-    return (eig, *_spectral_scale(eig, n, hurst))
 
 
 def _fgn_blocks(
@@ -122,29 +114,12 @@ def _fgn_blocks(
     check_hurst(hurst)
     check_sizes(n=n)
     rows = max(min(len(rngs), _ROW_BLOCK), 1)
-    if hurst == 0.5:
-        lead = 1 if walk else 0
-        out = np.empty((rows, lead + n), dtype=np.float64)
-        for start in range(0, len(rngs), rows):
-            block = rngs[start : start + rows]
-            for row, rng in zip(out, block):
-                rng.standard_normal(out=row[lead:])
-            x = out[: len(block)]
-            if walk:
-                x[:, 0] = 0.0
-                np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
-            yield x
-        return
-    eig = _embedding_eigenvalues(n, hurst)
-    checked, scale, half = _checked_spectrum(n, hurst)
-    # the verdict is cached with the eigenvalues it checked: eigenvalues
-    # that are not those are checked afresh
-    if checked is not eig:
-        scale, half = _spectral_scale(eig, n, hurst)
-    # one complex weight per circulant frequency; the weights are
-    # conjugate symmetric, so their transform is real (Dieker 2004,
-    # section 2.1.3) and the half up to N determines it
-    order = len(scale)
+    # at H = 1/2 the increments are independent, so a row's n normals are
+    # its increments and the spectral step is skipped
+    spectral = hurst != 0.5
+    if spectral:
+        scale, half = _spectrum(n, hurst)
+    order = len(scale) if spectral else n
     size = order // 2
     # one workspace per call holds the block's normals, then its weights,
     # and the partial sums once the weights are spent: fresh temporaries
@@ -152,24 +127,31 @@ def _fgn_blocks(
     workspace = np.empty(rows * (2 * order + 2), dtype=np.float64)
     normals = workspace[: rows * order].reshape(rows, order)
     spare = workspace[rows * order :]
-    weights = spare.view(np.complex128).reshape(rows, size + 1)
+    if spectral:
+        # one complex weight per circulant frequency; the weights are
+        # conjugate symmetric, so their transform is real (Dieker 2004,
+        # section 2.1.3) and the half up to N determines it
+        weights = spare.view(np.complex128).reshape(rows, size + 1)
     for start in range(0, len(rngs), rows):
         block = rngs[start : start + rows]
-        g, w = normals[: len(block)], weights[: len(block)]
-        # one draw of 2N normals per row: the real parts, then the imaginary
+        g = normals[: len(block)]
+        # one draw per row: at H != 1/2, 2N normals, the real parts and
+        # then the imaginary
         for row, rng in zip(g, block):
             rng.standard_normal(out=row)
-        # the half-spectrum is stored conjugated: the unscaled inverse real
-        # FFT of the conjugated half is the forward FFT of the whole weight
-        # vector (np.fft.hfft, without the conjugated copy it makes)
-        w[:, 0] = scale[0] * g[:, 0]
-        np.multiply(half, g[:, 1:size], out=w.real[:, 1:size])
-        np.multiply(half, g[:, size + 1 :], out=w.imag[:, 1:size])
-        np.negative(w.imag[:, 1:size], out=w.imag[:, 1:size])
-        w[:, size] = scale[size] * g[:, size]
-        # the normals are spent, so the transform overwrites them; the
-        # weights are spent after it, so the partial sums overwrite those
-        np.fft.irfft(w, order, norm="forward", out=g)
+        if spectral:
+            w = weights[: len(block)]
+            # the half-spectrum is stored conjugated: the unscaled inverse real
+            # FFT of the conjugated half is the forward FFT of the whole weight
+            # vector (np.fft.hfft, without the conjugated copy it makes)
+            w[:, 0] = scale[0] * g[:, 0]
+            np.multiply(half, g[:, 1:size], out=w.real[:, 1:size])
+            np.multiply(half, g[:, size + 1 :], out=w.imag[:, 1:size])
+            np.negative(w.imag[:, 1:size], out=w.imag[:, 1:size])
+            w[:, size] = scale[size] * g[:, size]
+            # the normals are spent, so the transform overwrites them; the
+            # weights are spent after it, so the partial sums overwrite those
+            np.fft.irfft(w, order, norm="forward", out=g)
         if not walk:
             yield g[:, :n]
             continue

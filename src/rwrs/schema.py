@@ -97,13 +97,13 @@ def superpose(rows: np.ndarray, beta: float) -> np.ndarray:
     """G_n from the D_n rows of its copies: copies**(-1/beta) times their sum.
 
     ``rows`` is (copies, k) for one draw or (draws, copies, k) for many.
-    Each draw's copies are summed on their own, so a draw's value does not
-    depend on the other draws stacked with it, and the first c rows of a
-    draw give exactly its c-copy schema.
+    Laid out as the samplers return them (C order, or a prefix of the
+    copies of such rows), each draw's copies are summed as they are when
+    the draw is superposed alone, so a draw's value does not depend on the
+    other draws stacked with it, and the first c rows of a draw give
+    exactly its c-copy schema.
     """
-    if rows.ndim == 3:
-        return np.stack([superpose(draw, beta) for draw in rows])
-    return float(len(rows)) ** (-1.0 / beta) * rows.sum(axis=0)
+    return float(rows.shape[-2]) ** (-1.0 / beta) * rows.sum(axis=-2)
 
 
 def sample_reward_process(

@@ -7,7 +7,8 @@ streams, and nothing depends on call order or worker scheduling.
 
 A stream is numpy's ``SeedSequence`` of the key's entropy words feeding
 a ``PCG64`` generator.  ``spawn_rng`` and ``stream_key`` derive one
-stream at a time through numpy.  ``stream_words`` derives many streams
+stream at a time through numpy's own ``SeedSequence``, and they are the
+reference for ``stream_words``.  ``stream_words`` derives many streams
 at once, for arrays of seeds and path entries: it runs
 ``SeedSequence``'s pool mixing as uint32 arithmetic on one column per
 stream, with the data-independent hash constants precomputed, and gives
@@ -75,15 +76,7 @@ def _entropy(seed, path):
 
 
 def _seed_sequence(seed: int, path: Sequence[int]) -> np.random.SeedSequence:
-    # SeedSequence reads each entropy value as its 32-bit words, low word
-    # first, keeping the high word only when it is nonzero; handing it
-    # those words as one array skips its slower per-value conversion
-    words = []
-    for value in _entropy(seed, path):
-        words.append(value & _MASK32)
-        if value >> 32:
-            words.append(value >> 32)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.SeedSequence(_entropy(seed, path))
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
@@ -168,9 +161,9 @@ def _block_seed_words(entropy: tuple, streams: int) -> np.ndarray:
     values = np.empty((len(entropy), streams), dtype="<u8")
     for row, value in zip(values, entropy):
         row[...] = value
-    # each value's low and high 32-bit words; as in _seed_sequence, the
-    # high word counts only when it is nonzero, so the word layout depends
-    # on the values and streams are grouped by layout
+    # each value's low and high 32-bit words; as SeedSequence reads an
+    # int, the high word counts only when it is nonzero, so the word layout
+    # depends on the values and streams are grouped by layout
     halves = values.view("<u4").reshape(len(entropy), streams, 2)
     wide = halves[:, :, 1] != 0
     layout = (wide.astype(np.int64) << np.arange(len(entropy))[:, None]).sum(axis=0)

@@ -25,9 +25,8 @@ from rwrs import (
     limit_cf_target,
     sample_stable,
     scaling_experiment,
-    schema_copy_samples,
+    schema_samples,
     stable_motion_samples,
-    superpose,
     theoretical_cf,
     walk_variance,
 )
@@ -193,34 +192,21 @@ def test_criterion_6_limit_superposition_cf(capsys, energy_estimates, motion_hal
     assert ok, zs
 
 
-def test_criterion_7_schema_cf_and_copy_trend(capsys, energy_estimates):
+def test_criterion_7_schema_cf(capsys, energy_estimates):
     criterion_z = {}
-    trends = {}
     ok = True
     for hurst, beta in PAIRS:
         model = ModelParams(hurst=hurst, beta=beta)
         energy_mean, energy_se = energy_estimates[(hurst, beta)]
-        # copy i of a replicate is the same for every copy count, so the
-        # 8- and 32-copy schemas are prefixes of one 128-copy draw
-        copy_rows = schema_copy_samples(model, 2048, 128, [1.0], 500, SEED)
-        per_copies = {}
-        for copies in (8, 32, 128):
-            samples = superpose(copy_rows[:, :copies], beta)[:, 0]
-            estimate = ecf(samples, CF_FREQS)
-            target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
-            comparison = cf_compare(estimate, target, target_se)
-            per_copies[copies] = comparison.max_abs_z
-            if copies == 32:
-                ok &= all(comparison.windows().values())
-        criterion_z[(hurst, beta)] = per_copies[32]
-        trends[(hurst, beta)] = per_copies
+        samples = schema_samples(model, 2048, 32, [1.0], 500, SEED)[:, 0]
+        estimate = ecf(samples, CF_FREQS)
+        target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
+        comparison = cf_compare(estimate, target, target_se)
+        ok &= all(comparison.windows().values())
+        criterion_z[(hurst, beta)] = comparison.max_abs_z
     detail = ", ".join(f"(H,b)={k}: {v:.2f}" for k, v in criterion_z.items())
-    trend_text = "; ".join(
-        f"{k}: " + " -> ".join(f"{per[c]:.2f}" for c in (8, 32, 128)) for k, per in trends.items()
-    )
     announce(capsys, f"criterion 7 (reward schema CF at n=2048, c=32 within 3 SE): "
-                     f"{'PASS' if ok else 'FAIL'} [max|z| {detail}] "
-                     f"(soft trend over copies 8 -> 32 -> 128: {trend_text})")
+                     f"{'PASS' if ok else 'FAIL'} [max|z| {detail}]")
     assert ok, criterion_z
 
 

@@ -387,6 +387,23 @@ def test_output_is_checked_before_drawing_and_kept_on_failure(tmp_path, monkeypa
     assert existing.read_text() == "earlier table\n"
 
 
+@pytest.mark.parametrize(
+    "args", [["--beta", "0.01"], ["--scenery", "pareto", "--beta", "0.003"]], ids=["inf", "nan"]
+)
+def test_cli_non_finite_table_value_exits_2_and_writes_nothing(args, tmp_path):
+    # these draws overflow; the RuntimeWarning they raise would fail an
+    # in-process run, so the CLI runs in a subprocess
+    command = ["schema", "--n", "256", "--cn", "8", "--replicates", "40", "--times", "1", *args]
+    proc = run_cli(*command)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("rwrs: numerical failure: non-finite value in table row ")
+    existing = tmp_path / "kept.csv"
+    existing.write_text("earlier table\n")
+    assert run_cli(*command, "--output", str(existing)).returncode == 2
+    assert existing.read_text() == "earlier table\n"
+
+
 def test_cli_byte_identical_across_jobs():
     one = run_cli("schema", "--n", "32", "--cn", "2", "--replicates", "8", "--jobs", "1")
     two = run_cli("schema", "--n", "32", "--cn", "2", "--replicates", "8", "--jobs", "2")

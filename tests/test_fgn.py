@@ -334,36 +334,12 @@ def test_spectral_embedding_eigenvalues_are_nonnegative():
             assert eig.min() >= -1e-9 * eig.max()
 
 
-def test_dense_fallback_size_guard(monkeypatch):
+def test_dense_fallback_size_guard(break_embedding):
     # The shipped covariance embeds cleanly for every H, so simulate a
     # failed embedding: there is no rescue path, even at small n.
-    from rwrs import fgn as fgn_mod
-
-    def broken_eigenvalues(n, hurst):
-        eig = np.ones(2 * n)
-        eig[-1] = -1.0
-        return eig
-
-    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
+    break_embedding()
     with pytest.raises(NumericalError):
         sample_fgn(64, 0.7, spawn_rng(24))
-
-
-def test_eigenvalue_check_verdict_is_not_reused_for_new_eigenvalues(monkeypatch):
-    # a passing check at (64, 0.7) is cached; eigenvalues patched in later
-    # are not the ones it checked, so they are checked afresh
-    from rwrs import fgn as fgn_mod
-
-    sample_fgn(64, 0.7, spawn_rng(28))
-
-    def broken_eigenvalues(n, hurst):
-        eig = np.ones(2 * n)
-        eig[-1] = -1.0
-        return eig
-
-    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
-    with pytest.raises(NumericalError):
-        sample_fgn(64, 0.7, spawn_rng(28))
 
 
 # ---------------------------------------------------------------------------

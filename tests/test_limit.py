@@ -439,22 +439,11 @@ def test_power_integral_draws_jobs_independent():
     assert one.tobytes() == two.tobytes()
 
 
-def _break_embedding(monkeypatch):
-    from rwrs import fgn as fgn_mod
-
-    def broken_eigenvalues(n, hurst):
-        eig = np.ones(2 * n)
-        eig[-1] = -1.0
-        return eig
-
-    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
-
-
-def test_block_paths_keep_negative_eigenvalue_check(monkeypatch):
+def test_block_paths_keep_negative_eigenvalue_check(break_embedding):
     model = ModelParams(hurst=0.7, beta=1.5)
     sample_stable_motion(5, (1.0,), model, 64, 16, seed=71)
     power_integral_draws(0.7, 1.5, [1.0], [1.0], 64, 16, 20, seed=71)
-    _break_embedding(monkeypatch)
+    break_embedding()
     with pytest.raises(NumericalError):
         sample_stable_motion(5, (1.0,), model, 64, 16, seed=71)
     with pytest.raises(NumericalError):

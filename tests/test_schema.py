@@ -409,20 +409,13 @@ def test_schema_mixed_injected_sceneries_match_per_copy_composition():
     assert got.tobytes() == expect.tobytes()
 
 
-def test_schema_block_path_keeps_negative_eigenvalue_check(monkeypatch):
+def test_schema_block_path_keeps_negative_eigenvalue_check(break_embedding):
     from rwrs import NumericalError
-    from rwrs import fgn as fgn_mod
 
     model = ModelParams(hurst=0.7, beta=1.5)
     config = SchemaConfig(n=63, copies=5, times=(1.0,))
     sample_reward_schema(config, model, seed=88)
-
-    def broken_eigenvalues(n, hurst):
-        eig = np.ones(2 * n)
-        eig[-1] = -1.0
-        return eig
-
-    monkeypatch.setattr(fgn_mod, "_embedding_eigenvalues", broken_eigenvalues)
+    break_embedding()
     with pytest.raises(NumericalError):
         sample_reward_schema(config, model, seed=88)
 
