@@ -13,6 +13,7 @@ from .experiments import (
     ScalingResult,
     WalkVarianceResult,
     functional_experiment,
+    limit_cf_check,
     scaling_experiment,
     schema_copy_samples,
     schema_ecf_check,
@@ -120,5 +121,6 @@ __all__ = [
     "FunctionalResult",
     "functional_experiment",
     "EcfCheckResult",
+    "limit_cf_check",
     "schema_ecf_check",
 ]

@@ -26,7 +26,7 @@ from .local_times import (
     range_count,
     self_intersections,
 )
-from .limit import _motion_rows, estimate_power_integral_mean, limit_cf_target, power_integral_draws
+from .limit import _mean_se, _motion_rows, estimate_power_integral_mean, limit_cf_target, power_integral_draws
 from .model import ModelParams, SchemaConfig, check_error_replicates, delta_exponent, grid_floor
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind
@@ -44,6 +44,7 @@ __all__ = [
     "FunctionalResult",
     "functional_experiment",
     "EcfCheckResult",
+    "limit_cf_check",
     "schema_ecf_check",
 ]
 
@@ -335,29 +336,16 @@ def functional_experiment(
     times = tuple(float(t) for t in times)
     horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
-        _walk_block,
-        statistic=_walk_functional,
-        seed=seed,
-        steps=max(max(horizons), 1),
-        hurst=model.hurst,
-        horizons=horizons,
-        n=n,
-        thetas=tuple(float(x) for x in thetas),
-        times=times,
-        model=model,
+        _walk_block, statistic=_walk_functional, seed=seed, steps=max(max(horizons), 1), hurst=model.hurst,
+        horizons=horizons, n=n, thetas=tuple(float(x) for x in thetas), times=times, model=model,
         convention=convention,
     )
     discrete = replicate_blocks(worker, replicates, jobs)
-    limit = power_integral_draws(
-        model.hurst, model.beta, thetas, times, m, bins, replicates, seed, jobs=jobs
-    )
+    limit = power_integral_draws(model.hurst, model.beta, thetas, times, m, bins, replicates, seed, jobs=jobs)
+    energy_mean, energy_se = _mean_se(limit)
     return FunctionalResult(
-        discrete=discrete,
-        limit=limit,
-        ks=ks_distance(discrete, limit),
-        mean_discrete=float(discrete.mean()),
-        energy_mean=float(limit.mean()),
-        energy_se=float(limit.std(ddof=1) / np.sqrt(replicates)),
+        discrete=discrete, limit=limit, ks=ks_distance(discrete, limit), mean_discrete=float(discrete.mean()),
+        energy_mean=energy_mean, energy_se=energy_se,
     )
 
 
@@ -372,7 +360,6 @@ class EcfCheckResult:
     target: np.ndarray
     target_se: np.ndarray
     comparison: CfComparison
-    samples: np.ndarray
     energy_mean: float
     energy_se: float
 
@@ -383,6 +370,21 @@ class EcfCheckResult:
                 self.estimate.u, self.estimate.re, self.estimate.se, self.target, self.comparison.z
             )
         ]
+
+
+def limit_cf_check(
+    samples: np.ndarray, model: ModelParams, u: Sequence[float], energy_mean: float, energy_se: float
+) -> EcfCheckResult:
+    """ECF of a sample of G(1) against the limit CF target of an energy estimate.
+
+    The one path from an oracle estimate to a verdict: ``ecf`` of the
+    sample, ``limit_cf_target`` of ``energy_mean`` +- ``energy_se`` at the
+    same frequencies, and ``cf_compare`` of the two.
+    """
+    estimate = ecf(samples, u)
+    target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
+    comparison = cf_compare(estimate, target, target_se)
+    return EcfCheckResult(estimate, target, target_se, comparison, energy_mean, energy_se)
 
 
 def schema_ecf_check(
@@ -403,17 +405,7 @@ def schema_ecf_check(
     samples = schema_samples(
         model, n, copies, [1.0], replicates, seed, jobs=jobs, kind=kind, convention=convention
     )[:, 0]
-    energy_mean, energy_se = estimate_power_integral_mean(
+    energy = estimate_power_integral_mean(
         model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, seed, jobs=jobs
     )
-    estimate = ecf(samples, u)
-    target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
-    return EcfCheckResult(
-        estimate=estimate,
-        target=target,
-        target_se=target_se,
-        comparison=cf_compare(estimate, target, target_se),
-        samples=samples,
-        energy_mean=energy_mean,
-        energy_se=energy_se,
-    )
+    return limit_cf_check(samples, model, u, *energy)

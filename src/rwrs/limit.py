@@ -17,13 +17,18 @@ grid spanning the path's range, with one guard bin on each side:
 bin width h = range / (bins - 2).  The estimator conserves occupation
 mass exactly: sum_x L_t(x) * h = (floor(m t) + 1) / m.
 
-Paths are drawn, box-counted and integrated in blocks of rows: each
-row's bins are offset onto their own slots so that one ``bincount`` per
-time counts the whole block, and the noises of a block go through one
-stable transform.  Each row gets the same bytes as one path at a time;
-``fbm_local_time`` and ``sample_local_time_integral`` are the one-row
-case.  The copies of a block of stable-motion draws are drawn as one
-block of rows by ``_motion_rows``, the twin of the schema's copy rows;
+Paths are drawn, box-counted and integrated in blocks of rows.
+``_box_counts`` returns a block's arrays: bin origins and widths of
+shape (rows,), and densities of shape (rows, times, bins), counted by one
+``bincount`` per time.  The energies (a) of a block are one array
+expression, and so are its integrals (b), whose noises go through one
+stable transform.  Each row gets the bytes it gets alone:
+``fbm_local_time``, ``local_time_power_integral`` and
+``sample_local_time_integral`` are the one-row case.  ``_mean_se`` is
+the one estimate of the energy's mean and standard error, and
+``experiments.limit_cf_check`` the one comparison of a sample against
+the limit CF that it fixes.  ``_motion_rows`` draws the copies of a
+block of stable-motion draws, the twin of the schema's copy rows, and
 ``sample_stable_motion`` is its one-seed case.  The oracle maps fixed
 blocks of replicate indices through ``streams.replicate_blocks``, so its
 output does not depend on the worker count.
@@ -72,18 +77,16 @@ class LocalTimeGrid:
     densities: np.ndarray
     degenerate: bool
 
-    @property
-    def bins(self) -> int:
-        return self.densities.shape[1]
 
-
-def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> list[LocalTimeGrid]:
+def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int):
     """Box-count local times of each row of a (rows, steps + 1) block of grid paths.
 
-    Row r's counts sit on the slots [r*bins, (r+1)*bins), so one
-    ``bincount`` per time counts every row; each row gets exactly the
-    grid that it gets alone.  ``values`` is used as scratch and
-    overwritten; ``times`` must already be checked.
+    Returns the block's ``origin``, ``width`` and ``degenerate`` flags, of
+    shape (rows,), and its ``densities``, of shape (rows, len(times), bins),
+    the fields of one ``LocalTimeGrid`` per row.  Row r's counts sit on the
+    slots [r*bins, (r+1)*bins), so one ``bincount`` per time counts every
+    row; each row gets exactly the grid that it gets alone.  ``values`` is
+    used as scratch and overwritten; ``times`` must already be checked.
     """
     rows = len(values)
     ends = grid_floor(m * times)
@@ -109,17 +112,18 @@ def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int) -> lis
         counts += np.bincount(idx[:, prev + 1 : end + 1].ravel(), minlength=rows * bins)
         prev = int(end)
         np.divide(per_row, mass, out=densities[:, j])
-    return [
-        LocalTimeGrid(times=times, origin=float(o), bin_width=float(w), densities=d, degenerate=bool(g))
-        for o, w, d, g in zip(origin, width, densities, degenerate)
-    ]
+    return origin, width, degenerate, densities
 
 
 def fbm_local_time(path: FbmGrid, times: Sequence[float], bins: int) -> LocalTimeGrid:
     """Estimate the local time field of a gridded path by box counting."""
     check_sizes(bins=bins)
     times = np.asarray(check_times(times, path.horizon))
-    return _box_counts(path.values[np.newaxis].copy(), path.m, times, bins)[0]
+    origin, width, degenerate, densities = _box_counts(path.values[np.newaxis].copy(), path.m, times, bins)
+    return LocalTimeGrid(
+        times=times, origin=float(origin[0]), bin_width=float(width[0]), densities=densities[0],
+        degenerate=bool(degenerate[0]),
+    )
 
 
 def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta: float) -> float:
@@ -133,22 +137,16 @@ def local_time_power_integral(grid: LocalTimeGrid, thetas: Sequence[float], beta
 
 
 def _power_integral_block(
-    indices: np.ndarray,
-    hurst: float,
-    beta: float,
-    thetas: tuple[float, ...],
-    times: tuple[float, ...],
-    m: int,
-    bins: int,
-    seed: int,
+    indices: np.ndarray, hurst: float, beta: float, thetas: tuple, times: tuple, m: int, bins: int, seed: int
 ) -> np.ndarray:
+    """The beta-energy of each replicate's oracle path, a block of rows at a time."""
     paths = SeededRngs(stream_words(seed, indices, ROLE_ORACLE))
-    checked = np.asarray(times, dtype=np.float64)
+    checked, weights = np.asarray(times), np.asarray(thetas)
     draws = []
     for values in _fbm_blocks(m, times[-1], hurst, paths):
-        for grid in _box_counts(values, m, checked, bins):
-            draws.append(local_time_power_integral(grid, thetas, beta))
-    return np.asarray(draws, dtype=np.float64)
+        _, width, _, densities = _box_counts(values, m, checked, bins)
+        draws.append(np.sum(np.abs(weights @ densities) ** beta, axis=-1) * width)
+    return np.concatenate(draws)
 
 
 def power_integral_draws(
@@ -171,15 +169,12 @@ def power_integral_draws(
     box-counted a block of rows at a time.
     """
     check_sizes(bins=bins)
+    check_beta(beta)
+    thetas, times = tuple(float(x) for x in thetas), check_times(times)
+    if len(thetas) != len(times):
+        raise UsageError("need one theta per grid time")
     draw = functools.partial(
-        _power_integral_block,
-        hurst=hurst,
-        beta=beta,
-        thetas=tuple(float(x) for x in thetas),
-        times=check_times(times),
-        m=m,
-        bins=bins,
-        seed=seed,
+        _power_integral_block, hurst=hurst, beta=beta, thetas=thetas, times=times, m=m, bins=bins, seed=seed
     )
     return replicate_blocks(draw, replicates, jobs=jobs)
 
@@ -201,8 +196,12 @@ def estimate_power_integral_mean(
     function at one time slice.
     """
     check_error_replicates("replicates", replicates)
-    values = power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(replicates))
+    return _mean_se(power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs))
+
+
+def _mean_se(draws: np.ndarray) -> tuple[float, float]:
+    """Mean of the energy draws and its standard error."""
+    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(len(draws)))
 
 
 def limit_cf_target(u, model: ModelParams, energy_mean: float, energy_se: float = 0.0):
@@ -220,14 +219,14 @@ def limit_cf_target(u, model: ModelParams, energy_mean: float, energy_se: float 
 
 
 def _local_time_integrals(
-    grids: Sequence[LocalTimeGrid], noise: StableParams, rngs: Sequence[np.random.Generator]
+    width: np.ndarray, densities: np.ndarray, times: np.ndarray, noise: StableParams, rngs: Sequence
 ) -> np.ndarray:
-    """Delta(t) of each grid against a noise drawn from its own generator, one row per grid."""
-    draws = _stable_rows(noise, rngs, grids[0].bins)
-    out = np.empty((len(grids), grids[0].times.size), dtype=np.float64)
-    for row, grid, bin_draws in zip(out, grids, draws):
-        row[...] = grid.densities @ (grid.bin_width ** (1.0 / noise.beta) * bin_draws)
-        row[grid.times == 0.0] = 0.0
+    """Delta(t) of each row of a box-count block against a noise drawn from its own generator."""
+    draws = _stable_rows(noise, rngs, densities.shape[-1])
+    # each row's h**(1/beta) is a Python float power, as a path alone gets it
+    draws *= np.asarray([h ** (1.0 / noise.beta) for h in width.tolist()])[:, np.newaxis]
+    out = np.matmul(densities, draws[..., np.newaxis])[..., 0]
+    out[:, times == 0.0] = 0.0
     return out
 
 
@@ -245,7 +244,9 @@ def sample_local_time_integral(
     exact scaling of a stable measure with Lebesgue control.  Entries
     with t == 0 are exactly zero since L_0 has no mass.
     """
-    return _local_time_integrals([fbm_local_time(path, times, bins)], noise, [rng])[0]
+    grid = fbm_local_time(path, times, bins)
+    width, densities = np.array([grid.bin_width]), grid.densities[np.newaxis]
+    return _local_time_integrals(width, densities, grid.times, noise, [rng])[0]
 
 
 def _motion_rows(
@@ -267,8 +268,8 @@ def _motion_rows(
     start = 0
     for values in _fbm_blocks(m, float(times[-1]), model.hurst, walks):
         stop = start + len(values)
-        grids = _box_counts(values, m, times, bins)
-        rows[start:stop] = _local_time_integrals(grids, noise, noises[start:stop])
+        _, width, _, densities = _box_counts(values, m, times, bins)
+        rows[start:stop] = _local_time_integrals(width, densities, times, noise, noises[start:stop])
         start = stop
     return rows.reshape(len(seeds), copies, times.size)
 

@@ -97,13 +97,11 @@ def superpose(rows: np.ndarray, beta: float) -> np.ndarray:
     """G_n from the D_n rows of its copies: copies**(-1/beta) times their sum.
 
     ``rows`` is (copies, k) for one draw or (draws, copies, k) for many.
-    Laid out as the samplers return them (C order, or a prefix of the
-    copies of such rows), each draw's copies are summed as they are when
-    the draw is superposed alone, so a draw's value does not depend on the
-    other draws stacked with it, and the first c rows of a draw give
-    exactly its c-copy schema.
+    The copies are summed in C order, whatever the layout of ``rows``, so
+    a draw's value does not depend on the other draws stacked with it,
+    and the first c rows of a draw give exactly its c-copy schema.
     """
-    return float(rows.shape[-2]) ** (-1.0 / beta) * rows.sum(axis=-2)
+    return float(rows.shape[-2]) ** (-1.0 / beta) * np.ascontiguousarray(rows).sum(axis=-2)
 
 
 def sample_reward_process(

@@ -32,6 +32,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import NumericalError
 from .model import check_sizes
 
 # role tags appended to stream keys so that the independent random
@@ -276,9 +277,15 @@ def replicate_blocks(fn: Callable[[np.ndarray], np.ndarray], replicates: int, jo
     ``fn`` takes a block's indices as a uint64 array, derives every
     stream of the block from them in one ``stream_words`` pass and
     returns one row per index, so the output does not depend on ``jobs``.
+    A non-finite value in any row raises ``NumericalError`` naming the
+    first such replicate.
     """
     check_sizes(replicates=replicates)
     # the size is fixed here, not read in the workers
     size = _REPLICATE_BLOCK
     task = functools.partial(_replicate_block, fn=fn, replicates=replicates, size=size)
-    return np.concatenate(replicate_map(task, -(-replicates // size), jobs=jobs))
+    rows = np.concatenate(replicate_map(task, -(-replicates // size), jobs=jobs))
+    bad = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if bad.any():
+        raise NumericalError(f"non-finite value in replicate {int(np.argmax(bad))}")
+    return rows

@@ -391,17 +391,31 @@ def test_output_is_checked_before_drawing_and_kept_on_failure(tmp_path, monkeypa
     "args", [["--beta", "0.01"], ["--scenery", "pareto", "--beta", "0.003"]], ids=["inf", "nan"]
 )
 def test_cli_non_finite_table_value_exits_2_and_writes_nothing(args, tmp_path):
-    # these draws overflow; the RuntimeWarning they raise would fail an
-    # in-process run, so the CLI runs in a subprocess
+    # these draws overflow, and the library rejects them; the RuntimeWarning
+    # they raise would fail an in-process run, so the CLI runs in a subprocess
     command = ["schema", "--n", "256", "--cn", "8", "--replicates", "40", "--times", "1", *args]
     proc = run_cli(*command)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].startswith("rwrs: numerical failure: non-finite value in table row ")
+    assert proc.stderr.splitlines()[-1].startswith("rwrs: numerical failure: non-finite value in replicate ")
     existing = tmp_path / "kept.csv"
     existing.write_text("earlier table\n")
     assert run_cli(*command, "--output", str(existing)).returncode == 2
     assert existing.read_text() == "earlier table\n"
+
+
+def test_cli_table_check_rejects_a_non_finite_row(monkeypatch, capsys):
+    # superpose can overflow finite draws, so the table is checked as well
+    from rwrs import cli as cli_mod
+
+    def overflowed(cfg):
+        return [(0, 1.0), (1, float("inf"))], "synthetic", {}
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "walk", cli_mod._COMMANDS["walk"]._replace(run=overflowed))
+    assert main(_FAST_WALK) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rwrs: numerical failure: non-finite s_n in table row 1: inf\n"
 
 
 def test_cli_byte_identical_across_jobs():

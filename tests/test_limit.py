@@ -14,12 +14,16 @@ from rwrs import (
     ecf,
     estimate_power_integral_mean,
     fbm_local_time,
+    limit_cf_check,
     limit_cf_target,
     local_time_power_integral,
     power_integral_draws,
     sample_fbm,
     sample_local_time_integral,
     sample_stable_motion,
+    schema_ecf_check,
+    schema_samples,
+    stable_motion_samples,
 )
 from rwrs.streams import _REPLICATE_BLOCK, ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, spawn_rng
 
@@ -197,6 +201,11 @@ def test_brownian_squared_local_time_oracle():
 def test_oracle_validation():
     with pytest.raises(UsageError):
         power_integral_draws(0.5, 2.0, [1.0], [1.0], 128, 32, 0, seed=0)
+    # beta and the theta count are checked once, before any path is drawn
+    with pytest.raises(UsageError, match="beta"):
+        power_integral_draws(0.5, 2.5, [1.0], [1.0], 128, 32, 4, seed=0)
+    with pytest.raises(UsageError, match="one theta per grid time"):
+        power_integral_draws(0.5, 2.0, [1.0, 1.0], [1.0], 128, 32, 4, seed=0)
     with pytest.raises(UsageError):
         estimate_power_integral_mean(0.5, 2.0, [1.0], [1.0], 128, 32, 1, seed=0)
 
@@ -212,6 +221,33 @@ def test_limit_cf_target_scales_with_sigma():
     model = ModelParams(hurst=0.7, beta=1.5, sigma=2.0)
     target, _ = limit_cf_target([1.0], model, energy_mean=1.0)
     assert target[0] == pytest.approx(np.exp(-(2.0**1.5)), rel=1e-12)
+
+
+def test_limit_cf_check_is_the_ecf_target_compare_assembly():
+    model = ModelParams(hurst=0.7, beta=1.5)
+    u = (0.25, 0.5, 1.0)
+    samples = stable_motion_samples(model, 4, [1.0], 64, 16, 40, 96)[:, 0]
+    energy_mean, energy_se = estimate_power_integral_mean(0.7, 1.5, [1.0], [1.0], 64, 16, 40, 96)
+    got = limit_cf_check(samples, model, u, energy_mean, energy_se)
+    estimate = ecf(samples, u)
+    target, target_se = limit_cf_target(estimate.u, model, energy_mean, energy_se)
+    comparison = cf_compare(estimate, target, target_se)
+    assert got.estimate.re.tobytes() == estimate.re.tobytes()
+    assert got.target.tobytes() == target.tobytes()
+    assert got.target_se.tobytes() == target_se.tobytes()
+    assert got.comparison.z.tobytes() == comparison.z.tobytes()
+    assert (got.energy_mean, got.energy_se) == (energy_mean, energy_se)
+
+
+def test_schema_ecf_check_is_the_limit_cf_check_of_its_draws_and_oracle():
+    model = ModelParams(hurst=0.7, beta=1.5)
+    u = (0.5, 1.0)
+    got = schema_ecf_check(model, 64, 3, u, 64, 16, 40, 30, seed=97)
+    samples = schema_samples(model, 64, 3, [1.0], 40, 97)[:, 0]
+    energy = estimate_power_integral_mean(0.7, 1.5, [1.0], [1.0], 64, 16, 30, 97)
+    expect = limit_cf_check(samples, model, u, *energy)
+    assert np.asarray(got.rows()).tobytes() == np.asarray(expect.rows()).tobytes()
+    assert (got.energy_mean, got.energy_se) == energy
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,20 @@ def test_schema_copy_prefixes_match_schema_samples_bytes():
         assert superpose(rows[:, :copies], model.beta).tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("times", [(1.0,), (0.25, 0.5, 1.0)])
+def test_superpose_does_not_depend_on_memory_layout(times):
+    # each draw of a C-ordered, Fortran-ordered or copies-major stack, and
+    # each Fortran-ordered draw alone, gets the value of its C-ordered draw
+    model = ModelParams(hurst=0.7, beta=1.5)
+    rows = schema_copy_samples(model, 64, 12, times, 20, 95)
+    alone = np.stack([superpose(draw, model.beta) for draw in rows])
+    copies_major = rows.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    for stack in (rows, np.asfortranarray(rows), copies_major):
+        assert superpose(stack, model.beta).tobytes() == alone.tobytes()
+    fortran_draws = np.stack([superpose(np.asfortranarray(draw), model.beta) for draw in rows])
+    assert fortran_draws.tobytes() == alone.tobytes()
+
+
 def test_schema_samples_one_copy_is_the_reward_process():
     model = ModelParams(hurst=0.6, beta=1.5)
     got = schema_samples(model, 48, 1, (0.5, 1.0), 4, 93)

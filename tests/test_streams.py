@@ -7,6 +7,8 @@ import pytest
 
 from rwrs import (
     ModelParams,
+    NumericalError,
+    SceneryKind,
     SchemaConfig,
     UsageError,
     fbm_local_time,
@@ -231,6 +233,37 @@ def test_replicate_blocks_map_fixed_blocks_in_index_order(jobs):
     assert rows[:, 1].tolist() == [16] * 32 + [5] * 5
     with pytest.raises(UsageError):
         replicate_blocks(_block_lengths, 0)
+
+
+def _non_finite_at(indices: np.ndarray, bad: tuple[int, ...]) -> np.ndarray:
+    rows = np.stack([indices, indices], axis=1).astype(np.float64)
+    rows[np.isin(indices, bad), 1] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replicate_blocks_name_the_first_non_finite_replicate(jobs):
+    with pytest.raises(NumericalError, match=r"^non-finite value in replicate 21$"):
+        replicate_blocks(functools.partial(_non_finite_at, bad=(30, 21)), 37, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        # the stable sampler overflows at beta = 0.01, Pareto scenery at 0.003
+        lambda: schema_samples(ModelParams(hurst=0.5, beta=0.01), 256, 8, [1.0], 40, 0),
+        lambda: schema_samples(
+            ModelParams(hurst=0.5, beta=0.003), 256, 8, [1.0], 40, 0, kind=SceneryKind.SYMMETRIC_PARETO
+        ),
+        lambda: stable_motion_samples(ModelParams(hurst=0.5, beta=0.01), 4, [1.0], 64, 16, 20, 0),
+    ],
+    ids=["schema-stable", "schema-pareto", "motion"],
+)
+def test_overflowing_draws_fail_in_the_library(draw):
+    # the overflow's RuntimeWarnings are silenced, so the library's own check
+    # is what has to fail
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="^non-finite value in replicate "):
+        draw()
 
 
 # every Monte Carlo driver against its replicates drawn one at a time; 17
