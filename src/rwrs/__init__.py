@@ -2,7 +2,7 @@
 
 Simulation of the random rewards schema (long-range-dependent walks
 collecting beta-stable site rewards) together with a Monte Carlo oracle
-for its limit, the local-time fractional stable motion, and the
+for its limit (exact at beta = 2), the local-time fractional stable motion, and the
 statistics needed to verify the convergence numerically.
 """
 
@@ -25,6 +25,7 @@ from .fgn import FbmGrid, WalkPath, fgn_covariance, sample_fbm, sample_fgn, samp
 from .limit import (
     LocalTimeGrid,
     estimate_power_integral_mean,
+    exact_energy,
     fbm_local_time,
     limit_cf_target,
     local_time_power_integral,
@@ -97,6 +98,7 @@ __all__ = [
     "fbm_local_time",
     "local_time_power_integral",
     "power_integral_draws",
+    "exact_energy",
     "estimate_power_integral_mean",
     "limit_cf_target",
     "sample_local_time_integral",

@@ -32,6 +32,7 @@ from .experiments import (
     stable_motion_samples,
     walk_variance,
 )
+from .limit import exact_energy
 from .local_times import SITE_CEIL, SITE_FLOOR
 from .model import (
     ModelParams, SchemaConfig, check_error_replicates, check_finite, check_pareto_beta, check_sizes,
@@ -101,7 +102,9 @@ class RunConfig:
     m: int = _option(4096, _parse_int, "fBm grid steps per unit time")
     bins: int = _option(512, _parse_int, "local-time spatial bins")
     replicates: int = _option(500, _parse_int, "Monte Carlo replicates")
-    oracle_replicates: int = _option(2000, _parse_int, "replicates for the limit-energy oracle")
+    oracle_replicates: int = _option(
+        2000, _parse_int, "replicates for the limit-energy oracle, used below beta = 2 only (exact at 2)"
+    )
     times: tuple[float, ...] = _option(
         (0.25, 0.5, 1.0), _parse_float_list, "comma-separated evaluation times"
     )
@@ -323,9 +326,13 @@ def _run_ks_stat(cfg: RunConfig):
         (i, float(a), float(b))
         for i, (a, b) in enumerate(zip(result.discrete, result.limit))
     ]
+    energy = f"limit energy = {result.energy_mean:.4f} +- {result.energy_se:.4f}"
+    if cfg.beta == 2.0:
+        # the draws stay raw box counts; the closed form shows their bias
+        exact = exact_energy(cfg.hurst, [1.0], [t_eval])
+        energy += f" (box count), exact {exact:.4f}, gap {result.energy_mean / exact - 1.0:+.2%}"
     summary = (
-        f"KS = {result.ks:.4f}, mean X_n = {result.mean_discrete:.4f}, "
-        f"limit energy = {result.energy_mean:.4f} +- {result.energy_se:.4f} "
+        f"KS = {result.ks:.4f}, mean X_n = {result.mean_discrete:.4f}, {energy} "
         f"(theta=1, t={t_eval}, n={cfg.n})"
     )
     return rows, summary, {}
@@ -337,9 +344,11 @@ def _run_ecf_check(cfg: RunConfig):
         cfg.oracle_replicates, cfg.seed,
         jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
     )
+    # the target's source: the closed form at beta = 2, the oracle below
+    source = "(exact)" if cfg.beta == 2.0 else f"+- {result.energy_se:.4f} (Monte Carlo)"
     summary = (
-        f"max |z| = {result.comparison.max_abs_z:.3f} over u={_format_value(cfg.u)} "
-        f"(energy = {result.energy_mean:.4f} +- {result.energy_se:.4f})"
+        f"max |z| = {result.comparison.max_abs_z:.3f} over u={_format_value(cfg.u)}, "
+        f"energy = {result.energy_mean:.4f} {source}"
     )
     return result.rows(), summary, result.comparison.windows()
 

@@ -2,7 +2,8 @@
 
 The limit of the reward schema is, conditionally on a fractional
 Brownian motion B with Hurst index H, a stable integral of the local
-time of B.  Nothing here has a closed form, so the oracle pipeline is
+time of B.  Below beta = 2 nothing here has a closed form, so the
+oracle pipeline is
 
     fBm grid  ->  box-count local time L_t(x)  ->  either
       (a) the beta-energy  X = int |sum_j theta_j L_{t_j}(x)|**beta dx,
@@ -11,6 +12,17 @@ time of B.  Nothing here has a closed form, so the oracle pipeline is
       (b) one draw  Delta(t) = int L_t(x) dW(x)  against an independent
           beta-stable noise, and normalized sums of independent copies
           of Delta, which converge to the same limit process.
+
+At beta = 2 the energy mean (a) is exact at every H: B_u - B_v has
+density (2 pi)**(-1/2) |u - v|**(-H) at 0, so
+
+    E int L_s(x) L_t(x) dx = (2 pi)**(-1/2) [g(s) + g(t) - g(|t - s|)],
+    g(x) = x**(2 - H) / ((1 - H)(2 - H)),
+
+which ``exact_energy`` sums over pairs of times.
+``estimate_power_integral_mean`` returns it there with standard error
+0 and draws no path; ``power_integral_draws`` stays the raw box count
+at every beta, so the box count can be checked against it.
 
 Local time is estimated by occupation counts over a uniform spatial
 grid spanning the path's range, with one guard bin on each side:
@@ -38,13 +50,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
-from .fgn import FbmGrid, _fbm_blocks
-from .model import ModelParams, check_beta, check_error_replicates, check_sizes, check_times, grid_floor
+from .errors import NumericalError, UsageError
+from .fgn import FbmGrid, _fbm_blocks, _grid_steps
+from .model import (
+    ModelParams, check_beta, check_error_replicates, check_hurst, check_sizes, check_times, grid_floor,
+)
 from .schema import superpose
 from .stable import StableParams, _stable_rows
 from .streams import ROLE_NOISE, ROLE_ORACLE, SeededRngs, _copy_words, replicate_blocks, stream_words
@@ -54,6 +69,7 @@ __all__ = [
     "fbm_local_time",
     "local_time_power_integral",
     "power_integral_draws",
+    "exact_energy",
     "estimate_power_integral_mean",
     "limit_cf_target",
     "sample_local_time_integral",
@@ -149,6 +165,14 @@ def _power_integral_block(
     return np.concatenate(draws)
 
 
+def _energy_args(thetas: Sequence[float], times: Sequence[float]) -> tuple[tuple, tuple]:
+    """Checked (thetas, times) of an energy functional, as tuples of floats."""
+    thetas, times = tuple(float(x) for x in thetas), check_times(times)
+    if len(thetas) != len(times):
+        raise UsageError("need one theta per grid time")
+    return thetas, times
+
+
 def power_integral_draws(
     hurst: float,
     beta: float,
@@ -166,13 +190,12 @@ def power_integral_draws(
     ``(seed, i, oracle-role)``, so results are reproducible and
     worker-count independent.  Replicates are mapped in fixed blocks by
     ``replicate_blocks``, and each block's paths are drawn and
-    box-counted a block of rows at a time.
+    box-counted a block of rows at a time.  These are the raw box counts
+    at every beta, beta = 2 included.
     """
     check_sizes(bins=bins)
     check_beta(beta)
-    thetas, times = tuple(float(x) for x in thetas), check_times(times)
-    if len(thetas) != len(times):
-        raise UsageError("need one theta per grid time")
+    thetas, times = _energy_args(thetas, times)
     draw = functools.partial(
         _power_integral_block, hurst=hurst, beta=beta, thetas=thetas, times=times, m=m, bins=bins, seed=seed
     )
@@ -190,13 +213,46 @@ def estimate_power_integral_mean(
     seed: int,
     jobs: int = 1,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the beta-energy of fBm.
+    """Mean and standard error of the beta-energy of fBm.
 
     This is the scalar that parametrizes the limit characteristic
-    function at one time slice.
+    function at one time slice.  Below beta = 2 it is the Monte Carlo
+    mean of ``power_integral_draws`` and its standard error.  At
+    beta = 2 it is ``(exact_energy(hurst, thetas, times), 0.0)``: no
+    path is drawn, and m, bins, replicates and jobs are only checked,
+    with the messages the draws would give, so bad input fails alike
+    at every beta.
     """
     check_error_replicates("replicates", replicates)
-    return _mean_se(power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs))
+    if beta != 2.0:
+        return _mean_se(power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs))
+    # the checks the draws run before their first path, in their order
+    check_sizes(bins=bins)
+    thetas, times = _energy_args(thetas, times)
+    check_sizes(jobs=jobs)
+    _grid_steps(m, times[-1])
+    return exact_energy(hurst, thetas, times), 0.0
+
+
+def exact_energy(hurst: float, thetas: Sequence[float], times: Sequence[float]) -> float:
+    """The exact beta = 2 energy mean E int (sum_j theta_j L_{t_j}(x))**2 dx of fBm.
+
+    (2 pi)**(-1/2) sum_{j,k} theta_j theta_k [g(t_j) + g(t_k) - g(|t_j - t_k|)]
+    with g(x) = x**(2 - H) / ((1 - H)(2 - H)), in O(k**2) for k times;
+    8 / (3 sqrt(2 pi)) at H = 1/2, theta = (1,) and t = 1.  A non-finite
+    theta, or an energy that overflows, raises ``NumericalError``.
+    """
+    check_hurst(hurst)
+    weights, times = map(np.asarray, _energy_args(thetas, times))
+    exponent = 2.0 - hurst
+    g = lambda x: x**exponent / ((1.0 - hurst) * exponent)
+    ends = g(times)
+    pairs = ends[:, np.newaxis] + ends - g(np.abs(times[:, np.newaxis] - times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(weights @ pairs @ weights) / math.sqrt(2.0 * math.pi)
+    if not math.isfinite(energy):
+        raise NumericalError(f"non-finite beta = 2 energy for thetas {weights.tolist()}")
+    return energy
 
 
 def _mean_se(draws: np.ndarray) -> tuple[float, float]:
@@ -207,10 +263,11 @@ def _mean_se(draws: np.ndarray) -> tuple[float, float]:
 def limit_cf_target(u, model: ModelParams, energy_mean: float, energy_se: float = 0.0):
     """Limit characteristic function exp(-sigma**beta |u|**beta E) with error.
 
-    ``energy_mean`` is an estimate of the beta-energy mean E (from
-    ``estimate_power_integral_mean``); the returned ``target_se``
-    propagates its standard error through the exponential by the delta
-    method.  Both arrays align with ``u``.
+    ``energy_mean`` is the beta-energy mean E from
+    ``estimate_power_integral_mean``: the closed form at beta = 2, with
+    ``energy_se`` 0 and so a ``target_se`` of 0, and a Monte Carlo
+    estimate below.  ``target_se`` propagates ``energy_se`` through the
+    exponential by the delta method.  Both arrays align with ``u``.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     base = model.sigma**model.beta * np.abs(u) ** model.beta

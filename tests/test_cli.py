@@ -485,3 +485,34 @@ def test_cli_rwrs_values_equal_one_copy_schema():
     assert "# command=rwrs\n" in rwrs_run.stdout
     assert "# cn=32\n" in rwrs_run.stdout
     assert len(table(rwrs_run).splitlines()) == 1 + 20 * 2
+
+
+def test_cli_summaries_name_the_energy_source(capsys):
+    # ecf-check's target is exact at beta = 2 and a Monte Carlo mean below;
+    # ks-stat keeps its raw box-count draws and shows their gap to the exact
+    # mean; the tables keep their columns
+    columns = {}
+    for command, beta, expected in (
+        ("ecf-check", "2", "energy = 1.0638 (exact)"),
+        ("ecf-check", "1.5", " (Monte Carlo)"),
+        ("ks-stat", "2", "(box count), exact 1.0638, gap "),
+    ):
+        assert main([command, "--beta", beta, *_SMALL]) == 0
+        captured = capsys.readouterr()
+        assert expected in captured.err
+        columns[command, beta] = [l for l in captured.out.splitlines() if not l.startswith("#")][0]
+    assert columns["ecf-check", "2"] == columns["ecf-check", "1.5"] == "u,ecf_re,ecf_se,target,z"
+    assert columns["ks-stat", "2"] == "replicate,x_n,x_limit"
+    assert main(["ks-stat", "--beta", "1.5", *_SMALL]) == 0
+    assert "exact" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--oracle-replicates", "1"], ["--m", "1"], ["--bins", "2"], ["--hurst", "1"]])
+def test_cli_ecf_check_rejects_bad_oracle_input_at_every_beta(bad, capsys):
+    errors = []
+    for beta in ("1.5", "2"):
+        assert main(["ecf-check", *_SMALL, "--beta", beta, *bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]

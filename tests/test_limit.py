@@ -13,6 +13,7 @@ from rwrs import (
     cf_compare,
     ecf,
     estimate_power_integral_mean,
+    exact_energy,
     fbm_local_time,
     limit_cf_check,
     limit_cf_target,
@@ -25,6 +26,7 @@ from rwrs import (
     schema_samples,
     stable_motion_samples,
 )
+from rwrs import limit
 from rwrs.streams import _REPLICATE_BLOCK, ROLE_NOISE, ROLE_ORACLE, ROLE_WALK, spawn_rng
 
 
@@ -192,10 +194,131 @@ def test_brownian_squared_local_time_oracle():
     # local time integral of Brownian motion on [0, 1]:
     #   E int L_1(x)**2 dx = 8 / (3 sqrt(2 pi)),
     # from E[L_1(x)**2] = 2 int_0^1 int_s^1 p_s(x) p_{t-s}(0) dt ds.
-    mean, se = estimate_power_integral_mean(0.5, 2.0, [1.0], [1.0], 4096, 512, 500, seed=48)
-    target = 8.0 / (3.0 * np.sqrt(2.0 * np.pi))
+    # The raw box counts are checked: the estimate is that closed form.
+    mean, se = limit._mean_se(power_integral_draws(0.5, 2.0, [1.0], [1.0], 4096, 512, 500, seed=48))
+    target = exact_energy(0.5, [1.0], [1.0])
     assert abs(mean - target) / target <= 0.10
     assert se <= 0.05 * target
+
+
+# ---------------------------------------------------------------------------
+# Exact beta = 2 energy
+# ---------------------------------------------------------------------------
+
+BROWNIAN_ENERGY = 8.0 / (3.0 * np.sqrt(2.0 * np.pi))
+
+
+def _pair_integral(hurst, s, t, points=4000):
+    """int_0^s int_0^t |u - v|**(-H) du dv by midpoint quadrature in the lag.
+
+    With r = u - v the integral is int |r|**(-H) len(r) dr over (-s, t),
+    len(r) the length of the v in [0, s] with v + r in [0, t]; the
+    substitution |r| = x**(1 / (1 - H)) turns |r|**(-H) dr into a
+    constant times dx, so the midpoint rule meets no singularity.
+    """
+    power = 1.0 / (1.0 - hurst)
+    total = 0.0
+    for side, reach in ((1.0, t), (-1.0, s)):
+        top = reach ** (1.0 - hurst)
+        r = side * ((np.arange(points) + 0.5) * (top / points)) ** power
+        overlap = np.clip(np.minimum(s, t - r) - np.maximum(0.0, -r), 0.0, None)
+        total += np.sum(overlap) * power * top / points
+    return total
+
+
+def test_exact_energy_brownian_unit_time():
+    assert exact_energy(0.5, [1.0], [1.0]) == pytest.approx(BROWNIAN_ENERGY, rel=1e-14)
+
+
+@pytest.mark.parametrize("hurst", (0.3, 0.5, 0.7))
+@pytest.mark.parametrize("thetas", ((0.0, 1.0), (1.0, -1.0), (1.0, 1.0)))
+def test_exact_energy_matches_quadrature(hurst, thetas):
+    times = (0.5, 1.0)
+    quadrature = sum(
+        a * b * _pair_integral(hurst, s, t) for a, s in zip(thetas, times) for b, t in zip(thetas, times)
+    ) / np.sqrt(2.0 * np.pi)
+    # the quadrature is good to about 1e-8 here
+    assert exact_energy(hurst, thetas, times) == pytest.approx(quadrature, rel=1e-6)
+
+
+@pytest.mark.parametrize("hurst", (0.3, 0.5, 0.7))
+def test_exact_energy_scales_with_time(hurst):
+    # L_{ct}(x) of B has the law of c**(1-H) L_t(x / c**H) of B: energy * c**(2-H)
+    thetas, times = (1.0, -0.5, 2.0), (0.2, 0.5, 1.0)
+    for c in (0.3, 2.5):
+        scaled = exact_energy(hurst, thetas, [c * t for t in times])
+        assert scaled == pytest.approx(c ** (2.0 - hurst) * exact_energy(hurst, thetas, times), rel=1e-12)
+
+
+@pytest.mark.parametrize("times", ((0.5, 1.0), (0.25, 1.0), (0.1, 0.35)))
+def test_exact_energy_of_a_brownian_increment(times):
+    # L_t - L_s is the local time of the path after s, which is Brownian again
+    s, t = times
+    got = exact_energy(0.5, (1.0, -1.0), times)
+    assert got == pytest.approx(BROWNIAN_ENERGY * (t - s) ** 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "hurst, thetas, times, m, bins, replicates, seed, jobs",
+    [
+        (0.5, (1.0,), (1.0,), 4096, 512, 2000, 0, 1),
+        (0.7, (1.0, -1.0), (0.5, 1.0), 64, 3, 2, 2**64 - 1, 2),
+        (0.3, (0.0, 2.0, 1.0), (0.0, 0.5, 2.0), 2, 1000, 10**6, 7, 3),
+    ],
+)
+def test_estimate_at_beta_two_is_the_exact_energy(monkeypatch, hurst, thetas, times, m, bins, replicates,
+                                                   seed, jobs):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was drawn at beta = 2")
+
+    monkeypatch.setattr(limit, "_fbm_blocks", no_paths)
+    got = estimate_power_integral_mean(hurst, 2.0, thetas, times, m, bins, replicates, seed, jobs=jobs)
+    assert got == (exact_energy(hurst, thetas, times), 0.0)
+
+
+# each case is (hurst, thetas, times, m, bins, replicates, jobs) with one input out of its domain
+_BAD_ORACLE_INPUTS = {
+    "replicates 1": (0.5, [1.0], [1.0], 16, 4, 1, 1),
+    "bins 2": (0.5, [1.0], [1.0], 16, 2, 2, 1),
+    "m 1": (0.5, [1.0], [1.0], 1, 4, 2, 1),
+    "m T below 1": (0.5, [1.0], [0.05], 16, 4, 2, 1),
+    "hurst 0": (0.0, [1.0], [1.0], 16, 4, 2, 1),
+    "hurst 1": (1.0, [1.0], [1.0], 16, 4, 2, 1),
+    "empty times": (0.5, [], [], 16, 4, 2, 1),
+    "decreasing times": (0.5, [1.0, 1.0], [1.0, 0.5], 16, 4, 2, 1),
+    "nan time": (0.5, [1.0], [float("nan")], 16, 4, 2, 1),
+    "theta count": (0.5, [1.0, 1.0], [1.0], 16, 4, 2, 1),
+    "jobs 0": (0.5, [1.0], [1.0], 16, 4, 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ORACLE_INPUTS))
+def test_oracle_rejects_bad_input_alike_at_every_beta(case):
+    # the closed form at beta = 2 runs the checks the draws run, in their order
+    hurst, thetas, times, m, bins, replicates, jobs = _BAD_ORACLE_INPUTS[case]
+    errors = []
+    for beta in (1.5, 2.0):
+        with pytest.raises(UsageError) as caught:
+            estimate_power_integral_mean(hurst, beta, thetas, times, m, bins, replicates, seed=0, jobs=jobs)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("beta", (1.5, 2.0))
+@pytest.mark.parametrize("theta", (float("nan"), float("inf"), 1e300))
+def test_non_finite_theta_energy_raises_numerical_error(beta, theta):
+    # the box counts overflow with a RuntimeWarning on the way
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        estimate_power_integral_mean(0.5, beta, [theta], [1.0], 16, 4, 2, seed=0)
+
+
+def test_exact_energy_validation():
+    with pytest.raises(UsageError, match="one theta per grid time"):
+        exact_energy(0.5, [1.0, 1.0], [1.0])
+    with pytest.raises(UsageError, match="hurst"):
+        exact_energy(1.0, [1.0], [1.0])
+    with pytest.raises(UsageError, match="times"):
+        exact_energy(0.5, [1.0, 1.0], [0.5, 0.5])
 
 
 def test_oracle_validation():
