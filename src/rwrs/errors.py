@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["UsageError", "NumericalError"]
+
 
 class UsageError(ValueError):
     """A caller-supplied parameter is outside its documented domain."""

@@ -26,7 +26,9 @@ from .local_times import (
     range_count,
     self_intersections,
 )
-from .limit import _mean_se, _motion_rows, estimate_power_integral_mean, limit_cf_target, power_integral_draws
+from .limit import (
+    _mean_se, _motion_rows, _oracle_args, estimate_power_integral_mean, limit_cf_target, power_integral_draws,
+)
 from .model import ModelParams, SchemaConfig, check_error_replicates, delta_exponent, grid_floor
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind
@@ -331,14 +333,13 @@ def functional_experiment(
     Draws the normalized occupation functional of the walk at scale n
     and, from disjoint streams, the beta-energy of fBm local time; the
     two samples are compared by KS distance and by relative mean error.
+    The oracle's inputs are checked before any walk is drawn.
     """
-    check_error_replicates("replicates", replicates)
-    times = tuple(float(t) for t in times)
+    thetas, times = _oracle_args(model.hurst, model.beta, thetas, times, m, bins, replicates, jobs, mean=True)
     horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
         _walk_block, statistic=_walk_functional, seed=seed, steps=max(max(horizons), 1), hurst=model.hurst,
-        horizons=horizons, n=n, thetas=tuple(float(x) for x in thetas), times=times, model=model,
-        convention=convention,
+        horizons=horizons, n=n, thetas=thetas, times=times, model=model, convention=convention,
     )
     discrete = replicate_blocks(worker, replicates, jobs)
     limit = power_integral_draws(model.hurst, model.beta, thetas, times, m, bins, replicates, seed, jobs=jobs)
@@ -401,7 +402,8 @@ def schema_ecf_check(
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
     convention: str = SITE_CEIL,
 ) -> EcfCheckResult:
-    """ECF of the schema at time 1 against the limit CF target."""
+    """ECF of the schema at time 1 against the limit CF target, the oracle's inputs checked first."""
+    _oracle_args(model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, jobs, mean=True)
     samples = schema_samples(
         model, n, copies, [1.0], replicates, seed, jobs=jobs, kind=kind, convention=convention
     )[:, 0]

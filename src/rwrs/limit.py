@@ -2,8 +2,8 @@
 
 The limit of the reward schema is, conditionally on a fractional
 Brownian motion B with Hurst index H, a stable integral of the local
-time of B.  Below beta = 2 nothing here has a closed form, so the
-oracle pipeline is
+time of B.  Below beta = 2 its energy has a closed form only at
+H = 1/2, so the oracle pipeline is
 
     fBm grid  ->  box-count local time L_t(x)  ->  either
       (a) the beta-energy  X = int |sum_j theta_j L_{t_j}(x)|**beta dx,
@@ -21,8 +21,12 @@ density (2 pi)**(-1/2) |u - v|**(-H) at 0, so
 
 which ``exact_energy`` sums over pairs of times.
 ``estimate_power_integral_mean`` returns it there with standard error
-0 and draws no path; ``power_integral_draws`` stays the raw box count
-at every beta, so the box count can be checked against it.
+0 and draws no path.  At H = 1/2 ``brownian_energy`` gives the mean at
+every beta, for theta with one nonzero entry or two opposite ones.
+``power_integral_draws`` stays the raw box count at every beta, so the
+box count can be checked against both.  ``_oracle_args`` is the one
+check of the oracle's inputs: the estimate, the draws and the
+experiments that compare against them run it before they draw anything.
 
 Local time is estimated by occupation counts over a uniform spatial
 grid spanning the path's range, with one guard bin on each side:
@@ -58,7 +62,8 @@ import numpy as np
 from .errors import NumericalError, UsageError
 from .fgn import FbmGrid, _fbm_blocks, _grid_steps
 from .model import (
-    ModelParams, check_beta, check_error_replicates, check_hurst, check_sizes, check_times, grid_floor,
+    ModelParams, check_beta, check_error_replicates, check_finite, check_hurst, check_sizes, check_times,
+    grid_floor,
 )
 from .schema import superpose
 from .stable import StableParams, _stable_rows
@@ -70,6 +75,7 @@ __all__ = [
     "local_time_power_integral",
     "power_integral_draws",
     "exact_energy",
+    "brownian_energy",
     "estimate_power_integral_mean",
     "limit_cf_target",
     "sample_local_time_integral",
@@ -173,6 +179,27 @@ def _energy_args(thetas: Sequence[float], times: Sequence[float]) -> tuple[tuple
     return thetas, times
 
 
+def _oracle_args(
+    hurst: float, beta: float, thetas: Sequence[float], times: Sequence[float], m: int, bins: int,
+    replicates: int, jobs: int, mean: bool = False,
+) -> tuple[tuple, tuple]:
+    """Checked (thetas, times) of an oracle call, as tuples of floats.
+
+    The one check of the oracle's inputs, in the order in which the draws
+    would meet them; with ``mean``, the replicates must first give a
+    standard error.
+    """
+    if mean:
+        check_error_replicates("replicates", replicates)
+    check_sizes(bins=bins)
+    check_beta(beta)
+    thetas, times = _energy_args(thetas, times)
+    check_sizes(replicates=replicates, jobs=jobs)
+    _grid_steps(m, times[-1])
+    check_hurst(hurst)
+    return thetas, times
+
+
 def power_integral_draws(
     hurst: float,
     beta: float,
@@ -193,9 +220,7 @@ def power_integral_draws(
     box-counted a block of rows at a time.  These are the raw box counts
     at every beta, beta = 2 included.
     """
-    check_sizes(bins=bins)
-    check_beta(beta)
-    thetas, times = _energy_args(thetas, times)
+    thetas, times = _oracle_args(hurst, beta, thetas, times, m, bins, replicates, jobs)
     draw = functools.partial(
         _power_integral_block, hurst=hurst, beta=beta, thetas=thetas, times=times, m=m, bins=bins, seed=seed
     )
@@ -218,20 +243,13 @@ def estimate_power_integral_mean(
     This is the scalar that parametrizes the limit characteristic
     function at one time slice.  Below beta = 2 it is the Monte Carlo
     mean of ``power_integral_draws`` and its standard error.  At
-    beta = 2 it is ``(exact_energy(hurst, thetas, times), 0.0)``: no
-    path is drawn, and m, bins, replicates and jobs are only checked,
-    with the messages the draws would give, so bad input fails alike
-    at every beta.
+    beta = 2 it is ``(exact_energy(hurst, thetas, times), 0.0)`` and no
+    path is drawn; bad input fails alike at every beta.
     """
-    check_error_replicates("replicates", replicates)
-    if beta != 2.0:
-        return _mean_se(power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs))
-    # the checks the draws run before their first path, in their order
-    check_sizes(bins=bins)
-    thetas, times = _energy_args(thetas, times)
-    check_sizes(jobs=jobs)
-    _grid_steps(m, times[-1])
-    return exact_energy(hurst, thetas, times), 0.0
+    thetas, times = _oracle_args(hurst, beta, thetas, times, m, bins, replicates, jobs, mean=True)
+    if beta == 2.0:
+        return exact_energy(hurst, thetas, times), 0.0
+    return _mean_se(power_integral_draws(hurst, beta, thetas, times, m, bins, replicates, seed, jobs=jobs))
 
 
 def exact_energy(hurst: float, thetas: Sequence[float], times: Sequence[float]) -> float:
@@ -253,6 +271,37 @@ def exact_energy(hurst: float, thetas: Sequence[float], times: Sequence[float]) 
     if not math.isfinite(energy):
         raise NumericalError(f"non-finite beta = 2 energy for thetas {weights.tolist()}")
     return energy
+
+
+def brownian_energy(beta: float, thetas: Sequence[float], times: Sequence[float]) -> float:
+    """The exact energy E int |sum_j theta_j L_{t_j}(x)|**beta dx of Brownian motion, H = 1/2.
+
+    L_tau(x) has the law of (|B_tau| - |x|)+ (Levy's theorem and the
+    strong Markov property at the hitting time of x), so
+
+        E int L_tau(x)**beta dx
+            = 2**((beta + 3)/2) Gamma(beta/2 + 1) tau**((beta + 1)/2) / ((beta + 1) sqrt(pi)).
+
+    A theta with one nonzero entry a, at time t, has |a|**beta times this
+    at tau = t; one with two nonzero entries a and -a, at times s < t,
+    has it at tau = t - s, since L_t - L_s is the local time of the path
+    after s.  Any other theta raises ``UsageError``.  At beta = 2 this is
+    ``exact_energy(0.5, thetas, times)``.
+    """
+    check_beta(beta)
+    thetas, times = _energy_args(check_finite("thetas", thetas), times)
+    terms = [(theta, t) for theta, t in zip(thetas, times) if theta != 0.0]
+    if len(terms) == 1:
+        [(a, tau)] = terms
+    elif len(terms) == 2 and terms[0][0] == -terms[1][0]:
+        a, tau = terms[0][0], terms[1][1] - terms[0][1]
+    else:
+        raise UsageError(f"need one nonzero theta or two opposite ones, got {list(thetas)}")
+    try:
+        scale = abs(a) ** beta * 2.0 ** ((beta + 3.0) / 2.0) * math.gamma(beta / 2.0 + 1.0)
+    except OverflowError:
+        raise NumericalError(f"non-finite beta = {beta} energy for thetas {list(thetas)}") from None
+    return scale * tau ** ((beta + 1.0) / 2.0) / ((beta + 1.0) * math.sqrt(math.pi))
 
 
 def _mean_se(draws: np.ndarray) -> tuple[float, float]:

@@ -31,6 +31,8 @@ from .stable import Scenery
 
 __all__ = [
     "site_of",
+    "SITE_CEIL",
+    "SITE_FLOOR",
     "LocalTimeProfile",
     "local_time_profiles",
     "max_local_time",

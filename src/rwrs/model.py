@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import UsageError
 
+__all__ = ["ModelParams", "SchemaConfig", "delta_exponent"]
+
 # smallest value of each integer size: a grid needs two steps per unit
 # time, and a box count one bin inside its two guard bins
 _MINIMUM = {"n": 1, "copies": 1, "replicates": 1, "jobs": 1, "m": 2, "bins": 3}

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from rwrs import fgn
+from rwrs import fgn, schema
 from rwrs.fgn import WalkPath
 
 
@@ -37,3 +37,23 @@ def break_embedding(monkeypatch):
         monkeypatch.setattr(fgn, "_spectrum", functools.lru_cache(maxsize=8)(fgn._spectrum.__wrapped__))
 
     return apply
+
+
+@pytest.fixture
+def fgn_blocks_drawn(monkeypatch):
+    """The list of row blocks the fGn sampler yields from then on, walks and oracle paths alike.
+
+    The sampler is wrapped wherever a module holds it, so a test can
+    assert that a call failed before drawing anything.
+    """
+    drawn = []
+    real = fgn._fgn_blocks
+
+    def spy(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            drawn.append(block.shape)
+            yield block
+
+    for module in (fgn, schema):
+        monkeypatch.setattr(module, "_fgn_blocks", spy)
+    return drawn

@@ -281,6 +281,16 @@ def test_cli_ks_stat_smoke():
     assert "KS =" in proc.stderr
 
 
+def test_cli_ks_stat_checks_the_oracle_grid_before_any_walk(fgn_blocks_drawn, capsys):
+    # 16 * 0.05 < 1 leaves the oracle's grid without a step; one job keeps
+    # any walk drawn in this process, where the spy sees it
+    assert main(["ks-stat", "--n", "64", "--times", "0.05", "--m", "16", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rwrs: error: horizon 0.05 is not finite or shorter than one grid step 1/16" in err
+    assert fgn_blocks_drawn == []
+
+
 def test_cli_scaling_csv_and_assert_pass():
     proc = run_cli("scaling", "--replicates", "50", "--assert")
     assert proc.returncode == 0, proc.stderr

@@ -10,11 +10,13 @@ from rwrs import (
     NumericalError,
     StableParams,
     UsageError,
+    brownian_energy,
     cf_compare,
     ecf,
     estimate_power_integral_mean,
     exact_energy,
     fbm_local_time,
+    functional_experiment,
     limit_cf_check,
     limit_cf_target,
     local_time_power_integral,
@@ -258,6 +260,57 @@ def test_exact_energy_of_a_brownian_increment(times):
     assert got == pytest.approx(BROWNIAN_ENERGY * (t - s) ** 1.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("thetas", ((1.0, 0.0), (0.0, 1.0), (2.0, 0.0), (1.0, -1.0)))
+def test_brownian_energy_is_the_exact_energy_at_beta_two(thetas):
+    expect = exact_energy(0.5, thetas, (0.5, 1.0))
+    assert brownian_energy(2.0, thetas, (0.5, 1.0)) == pytest.approx(expect, rel=1e-12)
+    assert brownian_energy(2.0, [1.0], [1.0]) == pytest.approx(BROWNIAN_ENERGY, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", (0.5, 1.2, 1.5, 2.0))
+def test_brownian_energy_scales_with_theta_and_time(beta):
+    unit = brownian_energy(beta, [1.0], [1.0])
+    for a in (-2.0, 0.3, 3.0):
+        assert brownian_energy(beta, [a], [1.0]) == pytest.approx(abs(a) ** beta * unit, rel=1e-12)
+    for s, t in ((0.5, 1.0), (0.1, 2.5)):
+        tau = t - s
+        expect = t ** ((beta + 1) / 2) * unit
+        assert brownian_energy(beta, [0.0, 1.0], [s, t]) == pytest.approx(expect, rel=1e-12)
+        # only the increment's length counts, whichever sign comes first
+        for thetas in ((1.0, -1.0), (-1.0, 1.0)):
+            got = brownian_energy(beta, thetas, [s, t])
+            assert got == pytest.approx(tau ** ((beta + 1) / 2) * unit, rel=1e-12)
+
+
+def test_brownian_energy_validation():
+    for thetas in ((1.0, 1.0), (1.0, -2.0), (0.0, 0.0), (1.0, -1.0, 1.0)):
+        with pytest.raises(UsageError, match="one nonzero theta or two opposite ones"):
+            brownian_energy(1.5, thetas, (0.25, 0.5, 1.0)[: len(thetas)])
+    with pytest.raises(UsageError, match="beta"):
+        brownian_energy(2.5, [1.0], [1.0])
+    with pytest.raises(UsageError, match="times"):
+        brownian_energy(1.5, [1.0, -1.0], [1.0, 0.5])
+    with pytest.raises(UsageError, match="one theta per grid time"):
+        brownian_energy(1.5, [1.0, -1.0], [1.0])
+    with pytest.raises(UsageError, match="thetas must be finite"):
+        brownian_energy(1.5, [float("nan")], [1.0])
+    with pytest.raises(NumericalError):
+        brownian_energy(2.0, [1e300], [1.0])
+
+
+@pytest.mark.parametrize("beta", (1.2, 1.5))
+def test_box_count_matches_brownian_energy_on_a_fine_grid(capsys, beta):
+    # 32 grid points per bin leave a box-count bias of well under 1%; seeds
+    # 0, 1 and 23 read z from +0.7 to +2.1 here
+    draws = power_integral_draws(0.5, beta, [1.0], [1.0], 16384, 512, 1500, seed=0)
+    mean, se = limit._mean_se(draws)
+    exact = brownian_energy(beta, [1.0], [1.0])
+    with capsys.disabled():
+        print(f"\nbox count at H = 1/2, beta = {beta}, m = 16384, bins 512: {mean:.4f} +- {se:.4f} "
+              f"against {exact:.4f}, bias {mean / exact - 1.0:+.2%}, z {(mean - exact) / se:+.2f}")
+    assert abs(mean - exact) <= 3.0 * se
+
+
 @pytest.mark.parametrize(
     "hurst, thetas, times, m, bins, replicates, seed, jobs",
     [
@@ -293,15 +346,55 @@ _BAD_ORACLE_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_ORACLE_INPUTS))
-def test_oracle_rejects_bad_input_alike_at_every_beta(case):
-    # the closed form at beta = 2 runs the checks the draws run, in their order
+def test_oracle_rejects_bad_input_alike_at_every_beta(fgn_blocks_drawn, case):
+    # one check runs before the closed form at beta = 2 and before the first path
     hurst, thetas, times, m, bins, replicates, jobs = _BAD_ORACLE_INPUTS[case]
-    errors = []
-    for beta in (1.5, 2.0):
+    args = (thetas, times, m, bins, replicates)
+    calls = [lambda beta=beta: estimate_power_integral_mean(hurst, beta, *args, seed=0, jobs=jobs)
+             for beta in (1.5, 2.0)]
+    # the raw draws give no standard error, so one replicate is theirs to draw
+    if replicates > 1:
+        calls += [lambda beta=beta: power_integral_draws(hurst, beta, *args, seed=0, jobs=jobs)
+                  for beta in (1.5, 2.0)]
+    errors = set()
+    for call in calls:
         with pytest.raises(UsageError) as caught:
-            estimate_power_integral_mean(hurst, beta, thetas, times, m, bins, replicates, seed=0, jobs=jobs)
-        errors.append((type(caught.value), str(caught.value)))
-    assert errors[0] == errors[1]
+            call()
+        errors.add(str(caught.value))
+    assert len(errors) == 1
+    assert fgn_blocks_drawn == []
+
+
+@pytest.mark.parametrize(
+    "m, bins, times, message",
+    [(1, 16, [1.0], "m must be at least 2, got 1"), (64, 2, [1.0], "bins must be at least 3, got 2"),
+     (16, 16, [0.05], "shorter than one grid step 1/16")],
+)
+def test_functional_experiment_checks_the_oracle_before_any_walk(fgn_blocks_drawn, m, bins, times, message):
+    with pytest.raises(UsageError) as oracle:
+        power_integral_draws(0.7, 1.5, [1.0], times, m, bins, 20, seed=0)
+    with pytest.raises(UsageError) as caught:
+        functional_experiment(ModelParams(hurst=0.7, beta=1.5), 64, [1.0], times, m, bins, 20, seed=0)
+    assert str(caught.value) == str(oracle.value)
+    assert message in str(caught.value)
+    assert fgn_blocks_drawn == []
+
+
+@pytest.mark.parametrize(
+    "m, oracle_replicates, message",
+    [(64, 1, "replicates must be at least 2, got 1"), (1, 30, "m must be at least 2, got 1")],
+)
+@pytest.mark.parametrize("beta", (1.5, 2.0))
+def test_schema_ecf_check_checks_the_oracle_before_any_walk(fgn_blocks_drawn, beta, m, oracle_replicates,
+                                                            message):
+    with pytest.raises(UsageError) as oracle:
+        estimate_power_integral_mean(0.7, beta, [1.0], [1.0], m, 16, oracle_replicates, seed=0)
+    with pytest.raises(UsageError) as caught:
+        model = ModelParams(hurst=0.7, beta=beta)
+        schema_ecf_check(model, 64, 3, (0.5, 1.0), m, 16, 40, oracle_replicates, seed=0)
+    assert str(caught.value) == str(oracle.value)
+    assert message in str(caught.value)
+    assert fgn_blocks_drawn == []
 
 
 @pytest.mark.parametrize("beta", (1.5, 2.0))
