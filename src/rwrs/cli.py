@@ -34,10 +34,8 @@ from .experiments import (
 )
 from .limit import exact_energy
 from .local_times import SITE_CEIL, SITE_FLOOR
-from .model import (
-    ModelParams, SchemaConfig, check_error_replicates, check_finite, check_pareto_beta, check_sizes,
-)
-from .stable import SceneryKind
+from .model import ModelParams, SchemaConfig, check_error_replicates, check_finite, check_sizes
+from .stable import SceneryKind, check_scenery_kind
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -238,8 +236,7 @@ def _validate(cfg: RunConfig) -> None:
     check_finite("u", cfg.u)
     if not 0 <= cfg.seed < 2**64:
         raise UsageError(f"seed must be a 64-bit nonnegative integer, got {cfg.seed}")
-    if cfg.kind is SceneryKind.SYMMETRIC_PARETO:
-        check_pareto_beta(cfg.beta)
+    check_scenery_kind(cfg.kind, cfg.beta)
     if cfg.jobs is not None:
         check_sizes(jobs=cfg.jobs)
 

@@ -4,9 +4,10 @@ Every experiment maps a module-level worker over fixed blocks of
 replicate indices via ``streams.replicate_blocks``, with the stream
 layout set out there, and reduces the per-replicate rows in index
 order, so every experiment is a pure function of (config, seed)
-regardless of worker count.  Monte Carlo means rely on numpy's pairwise
-summation, which keeps rounding error logarithmic in the number of
-heavy-tailed terms.
+regardless of worker count.  Each checks every input its workers would
+meet before it maps them, so a bad input starts no process pool.  Monte
+Carlo means rely on numpy's pairwise summation, which keeps rounding
+error logarithmic in the number of heavy-tailed terms.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .fgn import WalkPath, _walk_paths
 from .local_times import (
     SITE_CEIL,
+    check_convention,
     local_time_functional,
     local_time_profiles,
     max_local_time,
@@ -27,11 +29,14 @@ from .local_times import (
     self_intersections,
 )
 from .limit import (
-    _mean_se, _motion_rows, _oracle_args, estimate_power_integral_mean, limit_cf_target, power_integral_draws,
+    _mean_se, _motion_args, _motion_rows, _oracle_args, estimate_power_integral_mean, limit_cf_target,
+    power_integral_draws,
 )
-from .model import ModelParams, SchemaConfig, check_error_replicates, delta_exponent, grid_floor
+from .model import (
+    ModelParams, SchemaConfig, check_error_replicates, check_hurst, check_sizes, delta_exponent, grid_floor,
+)
 from .schema import _copy_rows, superpose
-from .stable import SceneryKind
+from .stable import SceneryKind, check_scenery_kind
 from .stats import CfComparison, EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
 from .streams import ROLE_WALK, SeededRngs, replicate_blocks, stream_words
 
@@ -92,6 +97,8 @@ class WalkVarianceResult:
 def walk_variance(n: int, hurst: float, replicates: int, seed: int, jobs: int = 1) -> WalkVarianceResult:
     """Sample variance of S_n against the exact value n**(2*hurst)."""
     check_error_replicates("replicates", replicates)
+    check_hurst(hurst)
+    check_sizes(n=n)
     worker = functools.partial(_walk_block, statistic=_final_position, seed=seed, steps=n, hurst=hurst)
     finals = replicate_blocks(worker, replicates, jobs)
     variance = float(finals.var(ddof=1))
@@ -129,6 +136,8 @@ def schema_copy_samples(
     give the c-copy schema of the same replicates.
     """
     config = SchemaConfig(n=n, copies=copies, times=tuple(times))
+    check_convention(convention)
+    check_scenery_kind(kind, model.beta)
     rows = functools.partial(
         _copy_rows, copies=range(copies), config=config, model=model, kind=kind,
         scenery_for_copy=None, convention=convention,
@@ -172,9 +181,8 @@ def stable_motion_samples(
     Replicate r is ``sample_stable_motion`` seeded by ``stream_key(seed,
     r)``; ``copies = 1`` gives raw local-time stable integrals.
     """
-    rows = functools.partial(
-        _motion_rows, copies=copies, times=tuple(float(t) for t in times), model=model, m=m, bins=bins
-    )
+    times = _motion_args(copies, times, m, bins)
+    rows = functools.partial(_motion_rows, copies=copies, times=times, model=model, m=m, bins=bins)
     draws = replicate_blocks(functools.partial(_keyed_block, seed=seed, rows=rows), replicates, jobs)
     return superpose(draws, model.beta)
 
@@ -252,6 +260,7 @@ def scaling_experiment(
     ladder over ``median_grid``.
     """
     check_error_replicates("replicates", replicates)
+    check_convention(convention)
     slope_grid = tuple(sorted(int(n) for n in slope_grid))
     median_grid = tuple(sorted(int(n) for n in median_grid))
     horizons = tuple(sorted(set(slope_grid) | set(median_grid)))
@@ -336,6 +345,7 @@ def functional_experiment(
     The oracle's inputs are checked before any walk is drawn.
     """
     thetas, times = _oracle_args(model.hurst, model.beta, thetas, times, m, bins, replicates, jobs, mean=True)
+    check_convention(convention)
     horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
         _walk_block, statistic=_walk_functional, seed=seed, steps=max(max(horizons), 1), hurst=model.hurst,

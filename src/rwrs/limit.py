@@ -45,9 +45,11 @@ the one estimate of the energy's mean and standard error, and
 ``experiments.limit_cf_check`` the one comparison of a sample against
 the limit CF that it fixes.  ``_motion_rows`` draws the copies of a
 block of stable-motion draws, the twin of the schema's copy rows, and
-``sample_stable_motion`` is its one-seed case.  The oracle maps fixed
-blocks of replicate indices through ``streams.replicate_blocks``, so its
-output does not depend on the worker count.
+``sample_stable_motion`` is its one-seed case; ``_motion_args`` checks
+its inputs, which a pooled driver does before any pool starts.  The
+oracle maps fixed blocks of replicate indices through
+``streams.replicate_blocks``, so its output does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -119,10 +121,15 @@ def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int):
     # guard bin on each side keeps boundary hits strictly interior
     width = np.where(degenerate, 1.0, span / (bins - 2))
     origin = low - width
-    # bin index floor((x - origin) / width), computed in place
+    # bin index floor((x - origin) / width), computed in place and cast to
+    # int64 in the same memory a row at a time: a one-row cast in place
+    # needs no temporary, where a whole-block cast makes a block-sized one
     values -= origin[:, np.newaxis]
     values /= width[:, np.newaxis]
-    idx = np.floor(values, out=values).astype(np.int64)
+    np.floor(values, out=values)
+    for row in values:
+        np.copyto(row.view(np.int64), row, casting="unsafe")
+    idx = values.view(np.int64)
     np.clip(idx, 0, bins - 1, out=idx)
     idx += np.arange(0, rows * bins, bins)[:, np.newaxis]
     densities = np.empty((rows, times.size, bins), dtype=np.float64)
@@ -355,6 +362,14 @@ def sample_local_time_integral(
     return _local_time_integrals(width, densities, grid.times, noise, [rng])[0]
 
 
+def _motion_args(copies: int, times: Sequence[float], m: int, bins: int) -> tuple[float, ...]:
+    """Checked times of a stable-motion draw, in the order in which its paths would meet the checks."""
+    check_sizes(copies=copies, bins=bins)
+    times = check_times(times)
+    _grid_steps(m, times[-1])
+    return times
+
+
 def _motion_rows(
     seeds: Sequence[int], copies: int, times: Sequence[float], model: ModelParams, m: int, bins: int
 ) -> np.ndarray:
@@ -365,8 +380,7 @@ def _motion_rows(
     paths of all of them are drawn, box-counted and integrated a block of
     rows at a time, each row with the values it has alone.
     """
-    check_sizes(copies=copies, bins=bins)
-    times = np.asarray(check_times(times))
+    times = np.asarray(_motion_args(copies, times, m, bins))
     noise = StableParams(beta=model.beta, sigma=model.sigma)
     words = _copy_words(seeds, range(copies), ROLE_NOISE)
     walks, noises = SeededRngs(words[:, 0]), SeededRngs(words[:, 1])

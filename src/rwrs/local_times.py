@@ -51,14 +51,16 @@ SITE_FLOOR = "floor"
 SceneryLike = Union[Scenery, Callable[[np.ndarray], np.ndarray]]
 
 
+def check_convention(convention: str) -> None:
+    if convention not in (SITE_CEIL, SITE_FLOOR):
+        raise UsageError(f"unknown site convention {convention!r}")
+
+
 def site_of(position, convention: str = SITE_CEIL) -> np.ndarray:
     """Integer site occupied at a real position."""
+    check_convention(convention)
     position = np.asarray(position, dtype=np.float64)
-    if convention == SITE_CEIL:
-        return np.ceil(position).astype(np.int64)
-    if convention == SITE_FLOOR:
-        return np.floor(position).astype(np.int64)
-    raise UsageError(f"unknown site convention {convention!r}")
+    return (np.ceil if convention == SITE_CEIL else np.floor)(position).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

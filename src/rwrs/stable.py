@@ -56,6 +56,12 @@ class SceneryKind(enum.Enum):
     SYMMETRIC_PARETO = "pareto"
 
 
+def check_scenery_kind(kind: SceneryKind, beta: float) -> None:
+    """A Pareto scenery needs beta < 2 (``pareto_scale``); a stable one takes every beta."""
+    if kind is SceneryKind.SYMMETRIC_PARETO:
+        check_pareto_beta(beta)
+
+
 def theoretical_cf(u, params: StableParams) -> np.ndarray:
     """Characteristic function exp(-sigma**beta |u|**beta) on a grid."""
     u = np.asarray(u, dtype=np.float64)
@@ -207,8 +213,7 @@ class Scenery:
     key: int
 
     def __post_init__(self) -> None:
-        if self.kind is SceneryKind.SYMMETRIC_PARETO:
-            pareto_scale(self.params)  # rejects beta = 2 up front
+        check_scenery_kind(self.kind, self.params.beta)
 
     def values_at(self, sites) -> np.ndarray:
         key = np.uint64(int(self.key) & _MASK64)

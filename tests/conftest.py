@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -57,3 +58,21 @@ def fgn_blocks_drawn(monkeypatch):
     for module in (fgn, schema):
         monkeypatch.setattr(module, "_fgn_blocks", spy)
     return drawn
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The worker counts of the process pools started from then on.
+
+    Each pool still starts and runs, so a test can assert that a call
+    failed before starting any pool.
+    """
+    started = []
+    real = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    return started

@@ -291,6 +291,15 @@ def test_cli_ks_stat_checks_the_oracle_grid_before_any_walk(fgn_blocks_drawn, ca
     assert fgn_blocks_drawn == []
 
 
+def test_cli_gamma_checks_its_grid_before_any_pool(pools_started, capsys):
+    # 16 * 0.05 < 1 leaves the stable motion's grid without a step
+    assert main(["gamma", "--m", "16", "--times", "0.05", "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rwrs: error: horizon 0.05 is not finite or shorter than one grid step 1/16" in err
+    assert pools_started == []
+
+
 def test_cli_scaling_csv_and_assert_pass():
     proc = run_cli("scaling", "--replicates", "50", "--assert")
     assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,7 @@ from rwrs import (
     stable_motion_samples,
     walk_variance,
 )
-from rwrs import streams
+from rwrs import fgn, streams
 from rwrs.streams import (
     ROLE_NOISE,
     ROLE_ORACLE,
@@ -269,6 +269,8 @@ def test_overflowing_draws_fail_in_the_library(draw):
 # every Monte Carlo driver against its replicates drawn one at a time; 17
 # replicates cross a block boundary at every block size tried
 MODEL = ModelParams(hurst=0.7, beta=1.5)
+# at H = 1/2 the fGn sampler skips its spectral step
+IID = ModelParams(hurst=0.5, beta=1.5)
 SEED = 19
 REPLICATES = 17
 TIMES = (0.5, 1.0)
@@ -319,6 +321,13 @@ DRIVERS = {
             for r in range(REPLICATES)
         ]),
     ),
+    "schema-copies-iid": (
+        lambda jobs: schema_copy_samples(IID, 32, 3, TIMES, REPLICATES, SEED, jobs=jobs),
+        lambda: np.stack([
+            [sample_reward_process(32, TIMES, IID, stream_key(SEED, r), copy=i) for i in range(3)]
+            for r in range(REPLICATES)
+        ]),
+    ),
     "oracle": (
         lambda jobs: power_integral_draws(0.7, 1.5, (1.0, -0.5), TIMES, 64, 16, REPLICATES, SEED, jobs),
         lambda: np.asarray([_energy(r) for r in range(REPLICATES)]),
@@ -364,3 +373,66 @@ def test_drivers_match_their_replicates_drawn_alone(monkeypatch, driver, block, 
     if block is not None:
         monkeypatch.setattr(streams, "_REPLICATE_BLOCK", block)
     assert DRIVERS[driver][0](jobs).tobytes() == _reference(driver)
+
+
+@pytest.mark.parametrize("row_block", [1, 4, 16, 17])
+@pytest.mark.parametrize("driver", ["schema-copies", "schema-copies-iid", "motion", "oracle", "walk"])
+def test_drivers_do_not_depend_on_the_fgn_row_block(monkeypatch, driver, row_block):
+    # a replicate block's 48 schema or motion rows (3 copies of 16 replicates)
+    # end in a short row block at 17; its 16 oracle or walk rows fill one
+    # block at 16 and at 17
+    monkeypatch.setattr(fgn, "_ROW_BLOCK", row_block)
+    assert DRIVERS[driver][0](1).tobytes() == _reference(driver)
+
+
+# one bad input per case, which the workers would meet only after a pool had
+# started at jobs > 1
+_BAD_DRIVER_INPUTS = {
+    "motion-grid": (
+        lambda jobs: stable_motion_samples(MODEL, 2, [0.05], 16, 16, 40, 0, jobs=jobs),
+        "horizon 0.05 is not finite or shorter than one grid step 1/16",
+    ),
+    "motion-bins": (
+        lambda jobs: stable_motion_samples(MODEL, 2, [1.0], 16, 2, 40, 0, jobs=jobs),
+        "bins must be at least 3, got 2",
+    ),
+    "motion-copies": (
+        lambda jobs: stable_motion_samples(MODEL, 0, [1.0], 16, 16, 40, 0, jobs=jobs),
+        "copies must be at least 1, got 0",
+    ),
+    "motion-times": (
+        lambda jobs: stable_motion_samples(MODEL, 2, [1.0, 0.5], 16, 16, 40, 0, jobs=jobs),
+        "times must be nonnegative and strictly increasing, got [1.0, 0.5]",
+    ),
+    "schema-convention": (
+        lambda jobs: schema_samples(MODEL, 32, 2, [1.0], 40, 0, jobs=jobs, convention="round"),
+        "unknown site convention 'round'",
+    ),
+    "schema-pareto": (
+        lambda jobs: schema_samples(
+            ModelParams(hurst=0.5, beta=2.0), 32, 2, [1.0], 40, 0, jobs=jobs, kind=SceneryKind.SYMMETRIC_PARETO
+        ),
+        "pareto scenery requires beta < 2, got 2.0",
+    ),
+    "walk-n": (lambda jobs: walk_variance(0, 0.7, 40, 0, jobs=jobs), "n must be at least 1, got 0"),
+    "walk-hurst": (lambda jobs: walk_variance(64, 1.5, 40, 0, jobs=jobs), "hurst must lie in (0, 1), got 1.5"),
+    "scaling-convention": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=GRID, median_grid=GRID,
+                                        convention="round"),
+        "unknown site convention 'round'",
+    ),
+    "functional-convention": (
+        lambda jobs: functional_experiment(MODEL, 32, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs, convention="round"),
+        "unknown site convention 'round'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DRIVER_INPUTS))
+def test_drivers_check_their_inputs_before_any_pool(pools_started, case):
+    call, message = _BAD_DRIVER_INPUTS[case]
+    for jobs in (1, 2):
+        with pytest.raises(UsageError) as caught:
+            call(jobs)
+        assert str(caught.value) == message
+    assert pools_started == []
