@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import UsageError
 from .fgn import WalkPath, _walk_paths
 from .local_times import (
     SITE_CEIL,
@@ -37,7 +38,7 @@ from .model import (
 )
 from .schema import _copy_rows, superpose
 from .stable import SceneryKind, check_scenery_kind
-from .stats import CfComparison, EcfEstimate, SlopeFit, cf_compare, ecf, ks_distance, slope_fit
+from .stats import CfComparison, EcfEstimate, SlopeFit, cf_compare, check_fit_points, ecf, ks_distance, slope_fit
 from .streams import ROLE_WALK, SeededRngs, replicate_blocks, stream_words
 
 __all__ = [
@@ -139,8 +140,7 @@ def schema_copy_samples(
     check_convention(convention)
     check_scenery_kind(kind, model.beta)
     rows = functools.partial(
-        _copy_rows, copies=range(copies), config=config, model=model, kind=kind,
-        scenery_for_copy=None, convention=convention,
+        _copy_rows, copies=range(copies), config=config, model=model, kind=kind, convention=convention
     )
     return replicate_blocks(functools.partial(_keyed_block, seed=seed, rows=rows), replicates, jobs)
 
@@ -257,13 +257,19 @@ def scaling_experiment(
     One walk per replicate, checkpointed at every horizon in the union
     of the two grids; V and R get log-log slope fits over
     ``slope_grid``, the maximum local time a delta-rescaled median
-    ladder over ``median_grid``.
+    ladder over ``median_grid``.  The grids are checked before any walk:
+    at least three distinct slope horizons, two median horizons, and
+    every horizon at least 1.
     """
     check_error_replicates("replicates", replicates)
     check_convention(convention)
     slope_grid = tuple(sorted(int(n) for n in slope_grid))
     median_grid = tuple(sorted(int(n) for n in median_grid))
+    check_fit_points(len(set(slope_grid)))
+    if len(set(median_grid)) < 2:
+        raise UsageError(f"median grid needs at least 2 distinct horizons, got {len(set(median_grid))}")
     horizons = tuple(sorted(set(slope_grid) | set(median_grid)))
+    check_sizes(n=horizons[0])
     delta = delta_exponent(hurst, beta)
     worker = functools.partial(
         _walk_block, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst,
@@ -346,6 +352,7 @@ def functional_experiment(
     """
     thetas, times = _oracle_args(model.hurst, model.beta, thetas, times, m, bins, replicates, jobs, mean=True)
     check_convention(convention)
+    check_sizes(n=n)
     horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
         _walk_block, statistic=_walk_functional, seed=seed, steps=max(max(horizons), 1), hurst=model.hurst,

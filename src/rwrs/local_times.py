@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fgn import WalkPath
-from .model import ModelParams, check_finite, check_horizon, grid_floor
+from .model import ModelParams, check_finite, check_horizon, check_sizes, grid_floor
 from .stable import Scenery
 
 __all__ = [
@@ -272,19 +272,6 @@ def _walk_rewards(
         yield start, _group_rewards(group, values_at, start)
 
 
-def _row_values(sceneries: Sequence[SceneryLike], rows: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Scenery values at (row, site) pairs ordered by row, row i from ``sceneries[i]``.
-
-    Each row's scenery is called once, on that row's visited sites.
-    """
-    first_row, last_row = int(rows[0]), int(rows[-1])
-    bounds = rows.searchsorted(np.arange(first_row, last_row + 2))
-    return np.concatenate([
-        _scenery_values(sceneries[r], sites[start:stop])
-        for r, start, stop in zip(range(first_row, last_row + 1), bounds[:-1], bounds[1:])
-    ])
-
-
 def interpolate(series: RewardSeries, s) -> np.ndarray:
     """Linear time interpolation of the reward series at real s in [0, n].
 
@@ -320,6 +307,7 @@ def local_time_functional(
     the discrete counterpart of the beta-energy of fractional Brownian
     local time and drives the characteristic function of the limit.
     """
+    check_sizes(n=n)
     thetas = np.asarray(thetas, dtype=np.float64)
     times = check_finite("times", times)
     if len(profiles) != len(thetas) or len(profiles) != len(times):

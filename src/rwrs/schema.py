@@ -27,13 +27,12 @@ values do not depend on which other copies or draws share its block.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fgn import _fgn_blocks
-from .local_times import SITE_CEIL, SceneryLike, _row_values, _walk_rewards
+from .local_times import SITE_CEIL, _walk_rewards
 from .model import ModelParams, SchemaConfig, grid_floor
 from .stable import SceneryKind, StableParams, _keyed_values
 from .streams import ROLE_SCENERY, SeededRngs, _copy_words
@@ -47,7 +46,6 @@ def _copy_rows(
     config: SchemaConfig,
     model: ModelParams,
     kind: SceneryKind,
-    scenery_for_copy: Callable[[int], SceneryLike] | None,
     convention: str,
 ) -> np.ndarray:
     """D_n at ``config.times`` of each copy index in ``copies`` of each draw seed.
@@ -72,13 +70,9 @@ def _copy_rows(
     words = _copy_words(seeds, copies, ROLE_SCENERY)
     n_rows = len(words)
     walks = SeededRngs(words[:, 0])
-    if scenery_for_copy is None:
-        params = StableParams(beta=model.beta, sigma=model.sigma)
-        keys = words[:, 1, 0]
-        values_at = lambda rows, sites: _keyed_values(kind, params, keys[rows], sites)
-    else:
-        sceneries = [scenery_for_copy(i) for _ in range(len(seeds)) for i in copies]
-        values_at = functools.partial(_row_values, sceneries)
+    params = StableParams(beta=model.beta, sigma=model.sigma)
+    keys = words[:, 1, 0]
+    values_at = lambda rows, sites: _keyed_values(kind, params, keys[rows], sites)
     blocks = _fgn_blocks(steps, model.hurst, walks, walk=True)
     d = np.empty((n_rows, len(s)), dtype=np.float64)
     for start, z in _walk_rewards(blocks, horizons, values_at, convention):
@@ -111,20 +105,16 @@ def sample_reward_process(
     seed: int,
     copy: int = 0,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    scenery: SceneryLike | None = None,
     convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """One rescaled reward path D_n evaluated at the given times.
 
-    The walk and the scenery of copy ``copy`` come from disjoint
+    The walk and the scenery key of copy ``copy`` come from disjoint
     substreams of ``seed``, so copies are mutually independent and any
-    copy can be regenerated in isolation.  Passing ``scenery``
-    overrides the keyed scenery (for experiments with frozen or
-    deterministic rewards); the walk stream is unaffected.
+    copy can be regenerated in isolation.
     """
     config = SchemaConfig(n=n, copies=1, times=tuple(times))
-    injected = None if scenery is None else (lambda i: scenery)
-    return _copy_rows([seed], [copy], config, model, kind, injected, convention)[0, 0]
+    return _copy_rows([seed], [copy], config, model, kind, convention)[0, 0]
 
 
 def sample_reward_schema(
@@ -132,15 +122,13 @@ def sample_reward_schema(
     model: ModelParams,
     seed: int,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    scenery_for_copy: Callable[[int], SceneryLike] | None = None,
     convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """One draw of the schema G_n at ``config.times``.
 
     Copies never share a walk or a scenery stream.  With copies = 1
     this returns exactly the same values as ``sample_reward_process``
-    on the same seed.  ``scenery_for_copy`` optionally injects a
-    scenery per copy index, for controlled experiments.
+    on the same seed.
     """
-    rows = _copy_rows([seed], range(config.copies), config, model, kind, scenery_for_copy, convention)
+    rows = _copy_rows([seed], range(config.copies), config, model, kind, convention)
     return superpose(rows[0], model.beta)

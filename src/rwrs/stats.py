@@ -109,6 +109,12 @@ class SlopeFit:
     r2: float
 
 
+def check_fit_points(count: int) -> None:
+    """A slope fit needs three points, so its residual degrees of freedom stay positive."""
+    if count < 3:
+        raise UsageError(f"need at least 3 points for a slope fit, got {count}")
+
+
 def slope_fit(x, y) -> SlopeFit:
     """Fit log y = intercept + slope * log x by least squares.
 
@@ -121,8 +127,7 @@ def slope_fit(x, y) -> SlopeFit:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise UsageError("x and y must be 1-d arrays of equal length")
-    if x.size < 3:
-        raise UsageError(f"need at least 3 points for a slope fit, got {x.size}")
+    check_fit_points(x.size)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise UsageError("slope fit requires strictly positive x and y")
     lx = np.log(x)

@@ -76,3 +76,26 @@ def pools_started(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     return started
+
+
+@pytest.fixture
+def fake_scenery(monkeypatch):
+    """Call with ``values(keys, sites)`` to make the schema's keyed scenery lookup return it from then on.
+
+    The schema looks up the scenery of many walks at once, site j under
+    the uint64 scenery key ``keys[j]`` of its walk's copy; the fake gets
+    those keys and int64 sites and returns one value per site.  The call
+    returns the list of each lookup's ``(keys, sites)``, copied, which
+    grows as the schema draws.
+    """
+    calls = []
+
+    def apply(values):
+        def fake(kind, params, keys, sites):
+            calls.append((keys.copy(), sites.copy()))
+            return np.asarray(values(keys, sites), dtype=np.float64)
+
+        monkeypatch.setattr(schema, "_keyed_values", fake)
+        return calls
+
+    return apply

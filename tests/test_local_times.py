@@ -348,3 +348,12 @@ def test_functional_validates_alignment():
     with pytest.raises(UsageError):
         # profile computed at the wrong horizon for the declared time
         local_time_functional([half], [1.0], [1.0], 100, model)
+
+
+def test_functional_rejects_a_scale_below_one():
+    # the walk's first position is its profile at horizon floor(0 * t) = 0,
+    # so only the scale check keeps n = 0 from 0.0 ** (-delta * beta)
+    model = ModelParams(hurst=0.5, beta=2.0)
+    start = profile_at(sample_walk(100, 0.5, spawn_rng(45)), n=0)
+    with pytest.raises(UsageError, match="n must be at least 1, got 0"):
+        local_time_functional([start], [1.0], [1.0], 0, model)

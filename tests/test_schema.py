@@ -56,6 +56,21 @@ def _per_step_series(walk, scenery, s, convention=SITE_CEIL):
     return reward_series(walk, scenery, convention=convention)
 
 
+def _by_copy(seed, sceneries):
+    # fake scenery values giving copy i of ``seed`` the values of sceneries[i],
+    # each called once per lookup on its own copy's sites
+    copy_of = {stream_key(seed, i, ROLE_SCENERY): i for i in range(len(sceneries))}
+
+    def values(keys, sites):
+        copies = np.array([copy_of[int(k)] for k in keys])
+        out = np.empty(sites.shape)
+        for i in np.unique(copies):
+            out[copies == i] = local_times_mod._scenery_values(sceneries[i], sites[copies == i])
+        return out
+
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Exponent and parameter bundles
 # ---------------------------------------------------------------------------
@@ -128,20 +143,25 @@ def test_schema_config_coerces_times_to_floats():
 # ---------------------------------------------------------------------------
 
 
-def test_unit_scenery_gives_exact_deterministic_values():
+def test_unit_scenery_gives_exact_deterministic_values(fake_scenery):
     # xi == 1 makes Z_j = j + 1 whatever the walk does, and linear
     # interpolation keeps that exact: D_n(t) = n**(-delta) (n t + 1).
     model = ModelParams(hurst=0.7, beta=1.5)
     n = 64
     times = [0.0, 0.25, 0.5, 1.0]
-    got = sample_reward_process(n, times, model, seed=70, scenery=lambda s: np.ones(s.shape))
+    calls = fake_scenery(lambda keys, sites: np.ones(sites.shape))
+    got = sample_reward_process(n, times, model, seed=70)
     expect = float(n) ** (-model.delta) * (n * np.asarray(times) + 1.0)
     np.testing.assert_allclose(got, expect, rtol=1e-12)
+    # one lookup, every site under the documented key of copy 0
+    [(keys, sites)] = calls
+    assert (keys == stream_key(70, 0, ROLE_SCENERY)).all()
 
 
-def test_zero_scenery_gives_zero_process():
+def test_zero_scenery_gives_zero_process(fake_scenery):
     model = ModelParams(hurst=0.5, beta=2.0)
-    got = sample_reward_process(32, [0.0, 0.5, 1.0], model, seed=71, scenery=lambda s: np.zeros(s.shape))
+    fake_scenery(lambda keys, sites: np.zeros(sites.shape))
+    got = sample_reward_process(32, [0.0, 0.5, 1.0], model, seed=71)
     np.testing.assert_array_equal(got, np.zeros(3))
 
 
@@ -176,15 +196,14 @@ def test_process_substream_layout_is_documented_one():
     assert got.tobytes() == expect.tobytes()
 
 
-def test_injected_scenery_uses_same_walk_stream():
-    # Injection must not consume from or reroute the walk substream:
-    # with xi(x) = x the result is a pure walk functional, reproducible
-    # from the documented walk stream alone.
+def test_scenery_lookup_uses_same_walk_stream(fake_scenery):
+    # The scenery lookup must not consume from or reroute the walk
+    # substream: with xi(x) = x the result is a pure walk functional,
+    # reproducible from the documented walk stream alone.
     model = ModelParams(hurst=0.55, beta=2.0)
     n, seed = 80, 75
-    got = sample_reward_process(
-        n, [1.0], model, seed=seed, scenery=lambda s: s.astype(np.float64)
-    )
+    fake_scenery(lambda keys, sites: sites.astype(np.float64))
+    got = sample_reward_process(n, [1.0], model, seed=seed)
     steps = n + 1
     walk = sample_walk(steps, model.hurst, spawn_rng(seed, 0, ROLE_WALK))
     s = np.asarray([float(n)])
@@ -249,24 +268,21 @@ def test_schema_single_copy_matches_process_exactly():
     np.testing.assert_array_equal(schema, process)
 
 
-def test_schema_zero_injection_everywhere():
+def test_schema_zero_scenery_everywhere(fake_scenery):
     model = ModelParams(hurst=0.6, beta=1.0)
     config = SchemaConfig(n=32, copies=4, times=(0.5, 1.0))
-    out = sample_reward_schema(
-        config, model, seed=79, scenery_for_copy=lambda i: (lambda s: np.zeros(s.shape))
-    )
+    fake_scenery(lambda keys, sites: np.zeros(sites.shape))
+    out = sample_reward_schema(config, model, seed=79)
     np.testing.assert_array_equal(out, np.zeros(2))
 
 
-def test_schema_is_linear_in_injected_scenery():
+def test_schema_is_linear_in_the_scenery(fake_scenery):
     model = ModelParams(hurst=0.6, beta=2.0)
     config = SchemaConfig(n=48, copies=3, times=(0.25, 1.0))
-    base = sample_reward_schema(
-        config, model, seed=80, scenery_for_copy=lambda i: (lambda s: np.sin(s + i))
-    )
-    scaled = sample_reward_schema(
-        config, model, seed=80, scenery_for_copy=lambda i: (lambda s: -2.5 * np.sin(s + i))
-    )
+    fake_scenery(_by_copy(80, [(lambda s, i=i: np.sin(s + i)) for i in range(3)]))
+    base = sample_reward_schema(config, model, seed=80)
+    fake_scenery(_by_copy(80, [(lambda s, i=i: -2.5 * np.sin(s + i)) for i in range(3)]))
+    scaled = sample_reward_schema(config, model, seed=80)
     np.testing.assert_allclose(scaled, -2.5 * base, rtol=1e-12)
 
 
@@ -361,7 +377,7 @@ def test_schema_matches_per_step_reward_series_composition(hurst, kind, conventi
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
-def test_schema_on_a_dense_time_grid_looks_up_each_visited_site_once(hurst):
+def test_schema_on_a_dense_time_grid_looks_up_each_visited_site_once(fake_scenery, hurst):
     # 40 times, most off the lattice, cut each walk into about 80 short
     # stretches that revisit sites; each copy's scenery must still see each
     # visited site once, in one call, and the values must match both
@@ -369,31 +385,25 @@ def test_schema_on_a_dense_time_grid_looks_up_each_visited_site_once(hurst):
     model = ModelParams(hurst=hurst, beta=1.5)
     times = tuple(float(t) for t in np.round(np.linspace(0.0137, 1.0, 40), 4))
     config = SchemaConfig(n=120, copies=3, times=times)
-    calls = {i: [] for i in range(config.copies)}
-
-    def scenery_for_copy(i):
-        def scenery(sites):
-            calls[i].append(sites.copy())
-            return np.cos(3.0 * sites + i)
-
-        return scenery
-
-    got = sample_reward_schema(config, model, seed=93, scenery_for_copy=scenery_for_copy)
+    sceneries = [(lambda sites, i=i: np.cos(3.0 * sites + i)) for i in range(config.copies)]
+    calls = fake_scenery(_by_copy(93, sceneries))
+    got = sample_reward_schema(config, model, seed=93)
     steps = int(np.floor(config.n * times[-1] + 1e-9)) + 1
-    for i, made in calls.items():
+    for i in range(config.copies):
         walk = sample_walk(steps, model.hurst, spawn_rng(93, i, ROLE_WALK))
+        made = [sites[keys == stream_key(93, i, ROLE_SCENERY)] for keys, sites in calls]
+        made = [sites for sites in made if sites.size]
         assert len(made) == 1
         np.testing.assert_array_equal(made[0], np.unique(site_of(walk.sums[: config.n + 1])))
-    quiet = {i: (lambda sites, i=i: np.cos(3.0 * sites + i)) for i in calls}
-    expect = _per_copy_schema(config, model, 93, None, SITE_CEIL, quiet.__getitem__)
+    expect = _per_copy_schema(config, model, 93, None, SITE_CEIL, sceneries.__getitem__)
     assert got.tobytes() == expect.tobytes()
-    per_step = _per_copy_schema(config, model, 93, None, SITE_CEIL, quiet.__getitem__, _per_step_series)
+    per_step = _per_copy_schema(config, model, 93, None, SITE_CEIL, sceneries.__getitem__, _per_step_series)
     assert np.max(np.abs(got - per_step)) <= 1e-12 * np.max(np.abs(per_step))
 
 
-def test_schema_mixed_injected_sceneries_match_per_copy_composition():
-    # keyed sceneries of different laws and plain callables force every
-    # copy onto its own scenery lookup
+def test_schema_mixed_sceneries_match_per_copy_composition(fake_scenery):
+    # keyed sceneries of different laws and plain callables give every
+    # copy its own scenery
     model = ModelParams(hurst=0.6, beta=1.5)
     config = SchemaConfig(n=96, copies=5, times=(0.25, 1.0))
     params = StableParams(beta=1.5)
@@ -404,7 +414,8 @@ def test_schema_mixed_injected_sceneries_match_per_copy_composition():
         kind = SceneryKind.EXACT_STABLE if i % 4 else SceneryKind.SYMMETRIC_PARETO
         return Scenery(kind, params, key=1000 + i)
 
-    got = sample_reward_schema(config, model, seed=87, scenery_for_copy=scenery_for_copy)
+    fake_scenery(_by_copy(87, [scenery_for_copy(i) for i in range(config.copies)]))
+    got = sample_reward_schema(config, model, seed=87)
     expect = _per_copy_schema(config, model, 87, None, SITE_CEIL, scenery_for_copy)
     assert got.tobytes() == expect.tobytes()
 

@@ -425,14 +425,39 @@ _BAD_DRIVER_INPUTS = {
         lambda jobs: functional_experiment(MODEL, 32, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs, convention="round"),
         "unknown site convention 'round'",
     ),
+    "functional-n-zero": (
+        lambda jobs: functional_experiment(MODEL, 0, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs),
+        "n must be at least 1, got 0",
+    ),
+    "functional-n-negative": (
+        lambda jobs: functional_experiment(MODEL, -3, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs),
+        "n must be at least 1, got -3",
+    ),
+    "scaling-zero-horizon": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=(0, 16, 32), median_grid=GRID),
+        "n must be at least 1, got 0",
+    ),
+    "scaling-two-slope-points": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=(16, 32, 32), median_grid=GRID),
+        "need at least 3 points for a slope fit, got 2",
+    ),
+    "scaling-one-median-point": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=GRID, median_grid=(64,)),
+        "median grid needs at least 2 distinct horizons, got 1",
+    ),
+    "scaling-no-median-points": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=GRID, median_grid=()),
+        "median grid needs at least 2 distinct horizons, got 0",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_DRIVER_INPUTS))
-def test_drivers_check_their_inputs_before_any_pool(pools_started, case):
+def test_drivers_check_their_inputs_before_any_pool(pools_started, fgn_blocks_drawn, case):
     call, message = _BAD_DRIVER_INPUTS[case]
     for jobs in (1, 2):
         with pytest.raises(UsageError) as caught:
             call(jobs)
         assert str(caught.value) == message
     assert pools_started == []
+    assert fgn_blocks_drawn == []
