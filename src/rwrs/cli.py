@@ -33,7 +33,6 @@ from .experiments import (
     walk_variance,
 )
 from .limit import exact_energy
-from .local_times import SITE_CEIL, SITE_FLOOR
 from .model import ModelParams, SchemaConfig, check_error_replicates, check_finite, check_sizes
 from .stable import SceneryKind, check_scenery_kind
 
@@ -110,9 +109,6 @@ class RunConfig:
     seed: int = _option(0, _parse_int, "64-bit master seed (RWRS_SEED overrides the default)")
     scenery: str = _choice(
         SceneryKind.EXACT_STABLE.value, "scenery kind", *(kind.value for kind in SceneryKind)
-    )
-    site_convention: str = _choice(
-        SITE_CEIL, "lattice site map applied to walk positions", SITE_CEIL, SITE_FLOOR
     )
     output: str | None = _option(
         None, lambda name, text: text, "CSV destination, default stdout", knob=True
@@ -285,8 +281,7 @@ def _run_walk(cfg: RunConfig):
 
 def _draw_schema(cfg: RunConfig, copies: int):
     return schema_samples(
-        cfg.model, cfg.n, copies, cfg.times, cfg.replicates, cfg.seed,
-        jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
+        cfg.model, cfg.n, copies, cfg.times, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs(), kind=cfg.kind
     )
 
 
@@ -297,10 +292,7 @@ def _draw_motion(cfg: RunConfig, copies: int):
 
 
 def _run_scaling(cfg: RunConfig):
-    result = scaling_experiment(
-        cfg.hurst, cfg.beta, cfg.replicates, cfg.seed,
-        jobs=cfg.resolved_jobs(), convention=cfg.site_convention,
-    )
+    result = scaling_experiment(cfg.hurst, cfg.beta, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs())
     rows = [
         (n, float(result.mean_v[i]), float(result.se_v[i]),
          float(result.mean_r[i]), float(result.se_r[i]), float(result.median_scaled[i]))
@@ -316,8 +308,7 @@ def _run_scaling(cfg: RunConfig):
 def _run_ks_stat(cfg: RunConfig):
     t_eval = cfg.times[-1]
     result = functional_experiment(
-        cfg.model, cfg.n, [1.0], [t_eval], cfg.m, cfg.bins, cfg.replicates, cfg.seed,
-        jobs=cfg.resolved_jobs(), convention=cfg.site_convention,
+        cfg.model, cfg.n, [1.0], [t_eval], cfg.m, cfg.bins, cfg.replicates, cfg.seed, jobs=cfg.resolved_jobs()
     )
     rows = [
         (i, float(a), float(b))
@@ -338,8 +329,7 @@ def _run_ks_stat(cfg: RunConfig):
 def _run_ecf_check(cfg: RunConfig):
     result = schema_ecf_check(
         cfg.model, cfg.n, cfg.cn, cfg.u, cfg.m, cfg.bins, cfg.replicates,
-        cfg.oracle_replicates, cfg.seed,
-        jobs=cfg.resolved_jobs(), kind=cfg.kind, convention=cfg.site_convention,
+        cfg.oracle_replicates, cfg.seed, jobs=cfg.resolved_jobs(), kind=cfg.kind,
     )
     # the target's source: the closed form at beta = 2, the oracle below
     source = "(exact)" if cfg.beta == 2.0 else f"+- {result.energy_se:.4f} (Monte Carlo)"

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import UsageError
 from .fgn import WalkPath, _walk_paths
 from .local_times import (
-    SITE_CEIL,
-    check_convention,
     local_time_functional,
     local_time_profiles,
     max_local_time,
@@ -129,7 +127,6 @@ def schema_copy_samples(
     seed: int,
     jobs: int = 1,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """The copies' D_n behind each schema draw, shape (M, copies, k).
 
@@ -137,11 +134,8 @@ def schema_copy_samples(
     give the c-copy schema of the same replicates.
     """
     config = SchemaConfig(n=n, copies=copies, times=tuple(times))
-    check_convention(convention)
     check_scenery_kind(kind, model.beta)
-    rows = functools.partial(
-        _copy_rows, copies=range(copies), config=config, model=model, kind=kind, convention=convention
-    )
+    rows = functools.partial(_copy_rows, copies=range(copies), config=config, model=model, kind=kind)
     return replicate_blocks(functools.partial(_keyed_block, seed=seed, rows=rows), replicates, jobs)
 
 
@@ -154,7 +148,6 @@ def schema_samples(
     seed: int,
     jobs: int = 1,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """Independent draws of the superposed schema, shape (M, k).
 
@@ -162,7 +155,7 @@ def schema_samples(
     r)``, the ``superpose`` of its ``schema_copy_samples`` rows;
     ``copies = 1`` gives draws of the rescaled reward process D_n.
     """
-    rows = schema_copy_samples(model, n, copies, times, replicates, seed, jobs, kind, convention)
+    rows = schema_copy_samples(model, n, copies, times, replicates, seed, jobs, kind)
     return superpose(rows, model.beta)
 
 
@@ -190,9 +183,9 @@ def stable_motion_samples(
 # --- occupation scaling -------------------------------------------------
 
 
-def _occupation_stats(walk: WalkPath, horizons: tuple[int, ...], convention: str) -> np.ndarray:
+def _occupation_stats(walk: WalkPath, horizons: tuple[int, ...]) -> np.ndarray:
     """V, R and the maximum local time of the walk at each horizon, one row per horizon."""
-    profiles = local_time_profiles(walk, horizons, convention)
+    profiles = local_time_profiles(walk, horizons)
     return np.asarray(
         [
             (self_intersections(profiles[h]), range_count(profiles[h]), max_local_time(profiles[h]))
@@ -250,7 +243,6 @@ def scaling_experiment(
     jobs: int = 1,
     slope_grid: Sequence[int] = SLOPE_GRID,
     median_grid: Sequence[int] = MEDIAN_GRID,
-    convention: str = SITE_CEIL,
 ) -> ScalingResult:
     """Growth of self-intersections, range and maximum local time.
 
@@ -262,7 +254,6 @@ def scaling_experiment(
     every horizon at least 1.
     """
     check_error_replicates("replicates", replicates)
-    check_convention(convention)
     slope_grid = tuple(sorted(int(n) for n in slope_grid))
     median_grid = tuple(sorted(int(n) for n in median_grid))
     check_fit_points(len(set(slope_grid)))
@@ -272,8 +263,7 @@ def scaling_experiment(
     check_sizes(n=horizons[0])
     delta = delta_exponent(hurst, beta)
     worker = functools.partial(
-        _walk_block, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst,
-        horizons=horizons, convention=convention,
+        _walk_block, statistic=_occupation_stats, seed=seed, steps=max(horizons), hurst=hurst, horizons=horizons
     )
     raw = replicate_blocks(worker, replicates, jobs)
     v, r, top = raw[:, :, 0], raw[:, :, 1], raw[:, :, 2]
@@ -309,9 +299,8 @@ def _walk_functional(
     thetas: tuple[float, ...],
     times: tuple[float, ...],
     model: ModelParams,
-    convention: str,
 ) -> float:
-    profiles = local_time_profiles(walk, horizons, convention)
+    profiles = local_time_profiles(walk, horizons)
     return local_time_functional([profiles[h] for h in horizons], thetas, times, n, model)
 
 
@@ -341,7 +330,6 @@ def functional_experiment(
     replicates: int,
     seed: int,
     jobs: int = 1,
-    convention: str = SITE_CEIL,
 ) -> FunctionalResult:
     """Weak-convergence check of the walk functional toward the energy.
 
@@ -351,12 +339,11 @@ def functional_experiment(
     The oracle's inputs are checked before any walk is drawn.
     """
     thetas, times = _oracle_args(model.hurst, model.beta, thetas, times, m, bins, replicates, jobs, mean=True)
-    check_convention(convention)
     check_sizes(n=n)
     horizons = tuple(grid_floor(n * t) for t in times)
     worker = functools.partial(
         _walk_block, statistic=_walk_functional, seed=seed, steps=max(max(horizons), 1), hurst=model.hurst,
-        horizons=horizons, n=n, thetas=thetas, times=times, model=model, convention=convention,
+        horizons=horizons, n=n, thetas=thetas, times=times, model=model,
     )
     discrete = replicate_blocks(worker, replicates, jobs)
     limit = power_integral_draws(model.hurst, model.beta, thetas, times, m, bins, replicates, seed, jobs=jobs)
@@ -417,13 +404,10 @@ def schema_ecf_check(
     seed: int,
     jobs: int = 1,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    convention: str = SITE_CEIL,
 ) -> EcfCheckResult:
     """ECF of the schema at time 1 against the limit CF target, the oracle's inputs checked first."""
     _oracle_args(model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, jobs, mean=True)
-    samples = schema_samples(
-        model, n, copies, [1.0], replicates, seed, jobs=jobs, kind=kind, convention=convention
-    )[:, 0]
+    samples = schema_samples(model, n, copies, [1.0], replicates, seed, jobs=jobs, kind=kind)[:, 0]
     energy = estimate_power_integral_mean(
         model.hurst, model.beta, [1.0], [1.0], m, bins, oracle_replicates, seed, jobs=jobs
     )

@@ -29,9 +29,13 @@ check of the oracle's inputs: the estimate, the draws and the
 experiments that compare against them run it before they draw anything.
 
 Local time is estimated by occupation counts over a uniform spatial
-grid spanning the path's range, with one guard bin on each side:
-bin width h = range / (bins - 2).  The estimator conserves occupation
-mass exactly: sum_x L_t(x) * h = (floor(m t) + 1) / m.
+grid spanning the path's range, with one more bin on each side: bin
+width h = range / (bins - 2), origin min - h.  These outer bins do not
+keep the extremes interior: the minimum and maximum fall exactly on the
+edge between an outer bin and its neighbour, and rounding picks the
+side, so most paths put a point in an outer bin (ROADMAP item 1 holds
+the mid-bin fix, which changes every box-count byte).  The estimator
+conserves occupation mass exactly: sum_x L_t(x) * h = (floor(m t) + 1) / m.
 
 Paths are drawn, box-counted and integrated in blocks of rows.
 ``_box_counts`` returns a block's arrays: bin origins and widths of
@@ -118,7 +122,8 @@ def _box_counts(values: np.ndarray, m: int, times: np.ndarray, bins: int):
     low = values.min(axis=1)
     span = values.max(axis=1) - low
     degenerate = span <= 0.0
-    # guard bin on each side keeps boundary hits strictly interior
+    # one more bin on each side; the extremes land on its inner edge, where
+    # rounding picks the side, so they are not kept interior (ROADMAP item 1)
     width = np.where(degenerate, 1.0, span / (bins - 2))
     origin = low - width
     # bin index floor((x - origin) / width), computed in place and cast to

@@ -1,9 +1,8 @@
 """Site occupation counts and scenery-weighted reward sums along a walk.
 
 The walk lives on the real line; rewards are collected on the integer
-lattice through a site map.  The default map is the ceiling, so the
-occupied site of a position s is the smallest integer >= s; a floor
-variant is available for sensitivity checks.  All statistics here are
+lattice through the ceiling, so the occupied site of a position s is
+the smallest integer >= s, as in the paper.  All statistics here are
 exact integer bookkeeping, randomness enters only through the path and
 the scenery.
 
@@ -31,8 +30,6 @@ from .stable import Scenery
 
 __all__ = [
     "site_of",
-    "SITE_CEIL",
-    "SITE_FLOOR",
     "LocalTimeProfile",
     "local_time_profiles",
     "max_local_time",
@@ -45,22 +42,12 @@ __all__ = [
     "local_time_functional",
 ]
 
-SITE_CEIL = "ceil"
-SITE_FLOOR = "floor"
-
 SceneryLike = Union[Scenery, Callable[[np.ndarray], np.ndarray]]
 
 
-def check_convention(convention: str) -> None:
-    if convention not in (SITE_CEIL, SITE_FLOOR):
-        raise UsageError(f"unknown site convention {convention!r}")
-
-
-def site_of(position, convention: str = SITE_CEIL) -> np.ndarray:
-    """Integer site occupied at a real position."""
-    check_convention(convention)
-    position = np.asarray(position, dtype=np.float64)
-    return (np.ceil if convention == SITE_CEIL else np.floor)(position).astype(np.int64)
+def site_of(position) -> np.ndarray:
+    """Integer site occupied at a real position: its ceiling."""
+    return np.ceil(np.asarray(position, dtype=np.float64)).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,16 +63,16 @@ class LocalTimeProfile:
     counts: np.ndarray
 
 
-def local_time_profiles(
-    path: WalkPath, horizons: Sequence[int], convention: str = SITE_CEIL
-) -> dict[int, LocalTimeProfile]:
+def local_time_profiles(path: WalkPath, horizons: Sequence[int]) -> dict[int, LocalTimeProfile]:
     """Occupation profiles of one path over steps 0..h for each horizon h, in one sweep.
 
     Counts each step once, which matters when horizons ladder up a
     single long path.
     """
     horizons = sorted({check_horizon(h, path.n) for h in horizons})
-    all_sites = site_of(path.sums[: horizons[-1] + 1], convention)
+    if not horizons:
+        raise UsageError("need at least one horizon")
+    all_sites = site_of(path.sums[: horizons[-1] + 1])
     lo = int(all_sites.min())
     width = int(all_sites.max()) - lo + 1
     dense = np.zeros(width, dtype=np.int64)
@@ -129,19 +116,14 @@ class RewardSeries:
     values: np.ndarray
 
 
-def reward_series(
-    path: WalkPath,
-    scenery: SceneryLike,
-    n: int | None = None,
-    convention: str = SITE_CEIL,
-) -> RewardSeries:
+def reward_series(path: WalkPath, scenery: SceneryLike, n: int | None = None) -> RewardSeries:
     """Accumulate scenery rewards along the walk.
 
     ``scenery`` may be a keyed ``Scenery`` or a callable taking a site
     array.  Each visited site's value is looked up once.
     """
     n = check_horizon(n, path.n)
-    visited, step_site = np.unique(site_of(path.sums[: n + 1], convention), return_inverse=True)
+    visited, step_site = np.unique(site_of(path.sums[: n + 1]), return_inverse=True)
     return RewardSeries(n=n, values=np.cumsum(_scenery_values(scenery, visited)[step_site]))
 
 
@@ -175,7 +157,7 @@ def occupation_reward(profile: LocalTimeProfile, scenery: SceneryLike) -> float:
 
 
 def _block_counts(
-    positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convention: str
+    positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupation counts of each stretch of steps of each row of a block of walk positions.
 
@@ -186,7 +168,7 @@ def _block_counts(
     laid end to end as the slots of ``counts``.  One ``bincount`` counts
     every stretch of every row, however many stretches there are.
     """
-    sites = site_of(positions[:, : starts[-1] + lengths[-1]], convention)
+    sites = site_of(positions[:, : starts[-1] + lengths[-1]])
     lo = np.minimum.reduceat(sites, starts, axis=1)
     width = np.maximum.reduceat(sites, starts, axis=1) - lo + 1
     end = width.cumsum().reshape(width.shape)
@@ -240,7 +222,6 @@ def _walk_rewards(
     blocks: Iterable[np.ndarray],
     horizons: np.ndarray,
     values_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    convention: str,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Z_h = sum_x N_h(x) xi(x) of each walk at each horizon, a group of walks at a time.
 
@@ -261,7 +242,7 @@ def _walk_rewards(
     group: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pending = start = stop = 0  # the group holds the rows [start, stop)
     for positions in blocks:
-        counts, lo, width = _block_counts(positions, starts, lengths, convention)
+        counts, lo, width = _block_counts(positions, starts, lengths)
         group.append((counts, lo, width))
         stop += len(positions)
         pending += counts.size
@@ -279,7 +260,7 @@ def interpolate(series: RewardSeries, s) -> np.ndarray:
     interpolated at every s.
     """
     s = np.asarray(s, dtype=np.float64)
-    if (s < 0.0).any() or (s > series.n).any():
+    if not np.all((s >= 0.0) & (s <= series.n)):
         raise UsageError(f"interpolation time outside [0, {series.n}]")
     j = np.floor(s).astype(np.int64)
     frac = s - j

@@ -27,7 +27,8 @@ from .errors import UsageError
 __all__ = ["ModelParams", "SchemaConfig", "delta_exponent"]
 
 # smallest value of each integer size: a grid needs two steps per unit
-# time, and a box count one bin inside its two guard bins
+# time, and a box count one bin between its two outer bins, which the
+# path's extremes sit on the edges of (ROADMAP item 1)
 _MINIMUM = {"n": 1, "copies": 1, "replicates": 1, "jobs": 1, "m": 2, "bins": 3}
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .fgn import _fgn_blocks
-from .local_times import SITE_CEIL, _walk_rewards
+from .local_times import _walk_rewards
 from .model import ModelParams, SchemaConfig, grid_floor
 from .stable import SceneryKind, StableParams, _keyed_values
 from .streams import ROLE_SCENERY, SeededRngs, _copy_words
@@ -46,7 +46,6 @@ def _copy_rows(
     config: SchemaConfig,
     model: ModelParams,
     kind: SceneryKind,
-    convention: str,
 ) -> np.ndarray:
     """D_n at ``config.times`` of each copy index in ``copies`` of each draw seed.
 
@@ -75,7 +74,7 @@ def _copy_rows(
     values_at = lambda rows, sites: _keyed_values(kind, params, keys[rows], sites)
     blocks = _fgn_blocks(steps, model.hurst, walks, walk=True)
     d = np.empty((n_rows, len(s)), dtype=np.float64)
-    for start, z in _walk_rewards(blocks, horizons, values_at, convention):
+    for start, z in _walk_rewards(blocks, horizons, values_at):
         # the arithmetic of ``interpolate``, in place, one group of rows at a time
         z_lo, step = z.take(column[: len(s)], axis=1), z.take(column[len(s) :], axis=1)
         step -= z_lo
@@ -105,7 +104,6 @@ def sample_reward_process(
     seed: int,
     copy: int = 0,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """One rescaled reward path D_n evaluated at the given times.
 
@@ -114,7 +112,7 @@ def sample_reward_process(
     copy can be regenerated in isolation.
     """
     config = SchemaConfig(n=n, copies=1, times=tuple(times))
-    return _copy_rows([seed], [copy], config, model, kind, convention)[0, 0]
+    return _copy_rows([seed], [copy], config, model, kind)[0, 0]
 
 
 def sample_reward_schema(
@@ -122,7 +120,6 @@ def sample_reward_schema(
     model: ModelParams,
     seed: int,
     kind: SceneryKind = SceneryKind.EXACT_STABLE,
-    convention: str = SITE_CEIL,
 ) -> np.ndarray:
     """One draw of the schema G_n at ``config.times``.
 
@@ -130,5 +127,5 @@ def sample_reward_schema(
     this returns exactly the same values as ``sample_reward_process``
     on the same seed.
     """
-    rows = _copy_rows([seed], range(config.copies), config, model, kind, convention)
+    rows = _copy_rows([seed], range(config.copies), config, model, kind)
     return superpose(rows[0], model.beta)

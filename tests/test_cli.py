@@ -49,7 +49,6 @@ def test_defaults_resolve():
     assert cfg.u == (0.5, 1.0, 2.0)
     assert cfg.seed == 0
     assert cfg.scenery == "stable"
-    assert cfg.site_convention == "ceil"
     assert cfg.output is None
     assert cfg.jobs is None
     assert cfg.assert_mode is False
@@ -174,7 +173,7 @@ def test_one_table_each_for_fields_and_commands(tmp_path, capsys):
     texts = {
         "hurst": "0.6", "beta": "1.5", "sigma": "2", "n": "100", "cn": "3", "m": "128",
         "bins": "16", "replicates": "7", "oracle_replicates": "9", "times": "0.5,1",
-        "u": "1,3", "seed": "5", "scenery": "pareto", "site_convention": "floor",
+        "u": "1,3", "seed": "5", "scenery": "pareto",
         "output": "x.csv", "jobs": "3",
     }
     assert sorted(texts) == sorted(configurable)
@@ -237,7 +236,7 @@ def test_cli_walk_csv_layout():
     keys = [line[2:].split("=", 1)[0] for line in header]
     assert keys == [
         "command", "hurst", "beta", "sigma", "n", "cn", "m", "bins", "replicates",
-        "oracle_replicates", "times", "u", "seed", "scenery", "site_convention",
+        "oracle_replicates", "times", "u", "seed", "scenery",
     ]
     assert "# command=walk" in lines
     assert "# n=64" in lines
@@ -480,6 +479,18 @@ def test_cli_rejects_non_finite_config_values(line, tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("rwrs: error:")
     assert captured.out == ""
+
+
+def test_cli_has_no_site_map_option(tmp_path, capsys):
+    # sites are the ceiling of the walk; neither a flag nor a config key picks another map
+    config = tmp_path / "old.cfg"
+    config.write_text("site_convention = ceil\n")
+    for args in (["--site-convention", "floor"], ["--config", str(config)]):
+        code = main(["schema", *args, *_SMALL])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("rwrs: error:")
+        assert captured.out == ""
 
 
 def test_cli_non_finite_sigma_exits_one_without_csv():

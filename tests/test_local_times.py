@@ -18,14 +18,13 @@ from rwrs import (
     self_intersections,
     site_of,
 )
-from rwrs.local_times import SITE_CEIL, SITE_FLOOR
 from rwrs.streams import spawn_rng
 
 
-def profile_at(path, n=None, convention=SITE_CEIL):
+def profile_at(path, n=None):
     """The occupation profile of ``path`` over steps 0..n (all steps by default)."""
     n = path.n if n is None else n
-    return local_time_profiles(path, [n], convention)[n]
+    return local_time_profiles(path, [n])[n]
 
 
 def table_scenery(table):
@@ -40,16 +39,6 @@ def table_scenery(table):
 
 def test_site_of_ceiling_examples():
     np.testing.assert_array_equal(site_of([0.0, 0.3, -0.3, 1.0, -1.7]), [0, 1, 0, 1, -1])
-
-
-def test_site_of_floor_examples():
-    got = site_of([0.0, 0.3, -0.3, 1.0, -1.7], convention=SITE_FLOOR)
-    np.testing.assert_array_equal(got, [0, 0, -1, 1, -2])
-
-
-def test_site_of_rejects_unknown_convention():
-    with pytest.raises(UsageError):
-        site_of([0.0], convention="round")
 
 
 def test_site_of_returns_integer_dtype():
@@ -97,11 +86,9 @@ def test_horizon_validation(make_path):
         profile_at(path, n=-1)
 
 
-def test_floor_convention_changes_counts(make_path):
-    path = make_path([0.0, 0.5, 1.2])
-    profile = profile_at(path, convention=SITE_FLOOR)
-    np.testing.assert_array_equal(profile.sites, [0, 1])
-    np.testing.assert_array_equal(profile.counts, [2, 1])
+def test_profiles_need_at_least_one_horizon(make_path):
+    with pytest.raises(UsageError, match="need at least one horizon"):
+        local_time_profiles(make_path([0.0, 1.0]), [])
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +224,11 @@ def test_reward_series_is_linear_in_scenery():
     np.testing.assert_allclose(zc, 2.0 * za - 0.5 * zb, rtol=1e-12, atol=1e-12)
 
 
-def test_reward_series_respects_horizon_and_convention(make_path):
+def test_reward_series_respects_horizon(make_path):
     path = make_path([0.0, 0.5, 1.2])
     scenery = table_scenery({0: 1.0, 1: 10.0})
     series = reward_series(path, scenery, n=1)
     np.testing.assert_array_equal(series.values, [1.0, 11.0])
-    floor_series = reward_series(path, scenery, convention=SITE_FLOOR)
-    np.testing.assert_array_equal(floor_series.values, [1.0, 2.0, 12.0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +265,13 @@ def test_interpolate_rejects_out_of_range():
         interpolate(series, -0.1)
     with pytest.raises(UsageError):
         interpolate(series, 2.1)
+
+
+def test_interpolate_rejects_nan_times():
+    series = RewardSeries(n=2, values=np.zeros(3))
+    for s in (np.nan, [0.5, np.nan]):
+        with pytest.raises(UsageError, match=r"interpolation time outside \[0, 2\]"):
+            interpolate(series, s)
 
 
 def test_interpolate_is_linear_in_values():

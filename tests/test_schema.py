@@ -27,14 +27,14 @@ from rwrs import (
     superpose,
 )
 from rwrs import streams as streams_mod
-from rwrs.local_times import SITE_CEIL, SITE_FLOOR, site_of
+from rwrs.local_times import site_of
 from rwrs.streams import ROLE_SCENERY, ROLE_WALK, spawn_rng, stream_key
 
 # the package exports a function named local_times, which hides the module
 local_times_mod = importlib.import_module("rwrs.local_times")
 
 
-def _count_weighted_series(walk, scenery, s, convention=SITE_CEIL):
+def _count_weighted_series(walk, scenery, s):
     # Z_h = sum_x N_h(x) xi(x) at the steps h the times s need, the way the
     # schema sums it: the occupation counts of each stretch of steps between
     # consecutive such h against the scenery, in site order, and the
@@ -44,7 +44,7 @@ def _count_weighted_series(walk, scenery, s, convention=SITE_CEIL):
     values = np.full(walk.n + 1, np.nan)
     total, prev = 0.0, -1
     for h in horizons:
-        stretch = site_of(walk.sums[prev + 1 : h + 1], convention)
+        stretch = site_of(walk.sums[prev + 1 : h + 1])
         sites, counts = np.unique(stretch, return_counts=True)
         total += occupation_reward(LocalTimeProfile(n=h - prev - 1, sites=sites, counts=counts), scenery)
         values[h] = total
@@ -52,8 +52,8 @@ def _count_weighted_series(walk, scenery, s, convention=SITE_CEIL):
     return RewardSeries(n=walk.n, values=values)
 
 
-def _per_step_series(walk, scenery, s, convention=SITE_CEIL):
-    return reward_series(walk, scenery, convention=convention)
+def _per_step_series(walk, scenery, s):
+    return reward_series(walk, scenery)
 
 
 def _by_copy(seed, sceneries):
@@ -219,13 +219,6 @@ def test_process_pareto_kind_differs_from_exact():
     assert exact[0] != pareto[0]
 
 
-def test_process_site_convention_changes_values():
-    model = ModelParams(hurst=0.5, beta=2.0)
-    ceil_val = sample_reward_process(64, [1.0], model, seed=77)
-    floor_val = sample_reward_process(64, [1.0], model, seed=77, convention=SITE_FLOOR)
-    assert ceil_val[0] != floor_val[0]
-
-
 def test_process_validates_through_schema_config():
     model = ModelParams(hurst=0.5, beta=2.0)
     with pytest.raises(UsageError):
@@ -313,9 +306,7 @@ def test_schema_output_shape_matches_times():
     assert sample_reward_schema(config, model, seed=84).shape == (4,)
 
 
-def _per_copy_schema(
-    config, model, seed, kind, convention, scenery_for_copy=None, series=_count_weighted_series
-):
+def _per_copy_schema(config, model, seed, kind, scenery_for_copy=None, series=_count_weighted_series):
     # the schema composed one copy at a time from the public pieces
     steps = int(np.floor(config.n * config.times[-1] + 1e-9)) + 1
     s = config.n * np.asarray(config.times)
@@ -330,24 +321,23 @@ def _per_copy_schema(
             )
         else:
             scenery = scenery_for_copy(i)
-        rewards = series(walk, scenery, s, convention)
+        rewards = series(walk, scenery, s)
         rows.append(float(config.n) ** (-model.delta) * np.atleast_1d(interpolate(rewards, s)))
     return float(config.copies) ** (-1.0 / model.beta) * np.stack(rows).sum(axis=0)
 
 
 @pytest.mark.parametrize("copies", [1, 3, 32])
-@pytest.mark.parametrize("convention", [SITE_CEIL, SITE_FLOOR])
 @pytest.mark.parametrize("kind", list(SceneryKind))
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
-def test_schema_matches_per_copy_composition_bytes(hurst, kind, convention, copies):
+def test_schema_matches_per_copy_composition_bytes(hurst, kind, copies):
     # all copies share one reward pass; it must reproduce the copy-at-a-time
     # composition byte for byte, at lattice times (0, 0.3 and 1) and between
     # them (n t = 52.8)
     model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
     config = SchemaConfig(n=160, copies=copies, times=(0.0, 0.3, 0.33, 1.0))
     seed = 85 + copies
-    got = sample_reward_schema(config, model, seed, kind=kind, convention=convention)
-    expect = _per_copy_schema(config, model, seed, kind, convention)
+    got = sample_reward_schema(config, model, seed, kind=kind)
+    expect = _per_copy_schema(config, model, seed, kind)
     assert got.tobytes() == expect.tobytes()
 
 
@@ -355,7 +345,7 @@ def test_schema_blocks_do_not_change_bytes(monkeypatch):
     model = ModelParams(hurst=0.7, beta=2.0)
     config = SchemaConfig(n=200, copies=32, times=(0.0, 0.515, 0.5175, 1.0))
     whole = sample_reward_schema(config, model, seed=86)
-    expect = _per_copy_schema(config, model, 86, SceneryKind.EXACT_STABLE, SITE_CEIL)
+    expect = _per_copy_schema(config, model, 86, SceneryKind.EXACT_STABLE)
     # a scenery lookup for every row block, then for groups of a few row blocks
     for slots in (1, 700):
         monkeypatch.setattr(local_times_mod, "_GROUP_SLOTS", slots)
@@ -363,16 +353,15 @@ def test_schema_blocks_do_not_change_bytes(monkeypatch):
         assert blocked.tobytes() == whole.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("convention", [SITE_CEIL, SITE_FLOOR])
 @pytest.mark.parametrize("kind", list(SceneryKind))
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
-def test_schema_matches_per_step_reward_series_composition(hurst, kind, convention):
+def test_schema_matches_per_step_reward_series_composition(hurst, kind):
     # the counts sum the rewards site by site, reward_series step by step:
     # equal up to rounding
     model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
     config = SchemaConfig(n=300, copies=9, times=(0.0, 0.3, 0.7717, 1.0))
-    got = sample_reward_schema(config, model, 90, kind=kind, convention=convention)
-    expect = _per_copy_schema(config, model, 90, kind, convention, series=_per_step_series)
+    got = sample_reward_schema(config, model, 90, kind=kind)
+    expect = _per_copy_schema(config, model, 90, kind, series=_per_step_series)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -395,9 +384,9 @@ def test_schema_on_a_dense_time_grid_looks_up_each_visited_site_once(fake_scener
         made = [sites for sites in made if sites.size]
         assert len(made) == 1
         np.testing.assert_array_equal(made[0], np.unique(site_of(walk.sums[: config.n + 1])))
-    expect = _per_copy_schema(config, model, 93, None, SITE_CEIL, sceneries.__getitem__)
+    expect = _per_copy_schema(config, model, 93, None, sceneries.__getitem__)
     assert got.tobytes() == expect.tobytes()
-    per_step = _per_copy_schema(config, model, 93, None, SITE_CEIL, sceneries.__getitem__, _per_step_series)
+    per_step = _per_copy_schema(config, model, 93, None, sceneries.__getitem__, _per_step_series)
     assert np.max(np.abs(got - per_step)) <= 1e-12 * np.max(np.abs(per_step))
 
 
@@ -416,7 +405,7 @@ def test_schema_mixed_sceneries_match_per_copy_composition(fake_scenery):
 
     fake_scenery(_by_copy(87, [scenery_for_copy(i) for i in range(config.copies)]))
     got = sample_reward_schema(config, model, seed=87)
-    expect = _per_copy_schema(config, model, 87, None, SITE_CEIL, scenery_for_copy)
+    expect = _per_copy_schema(config, model, 87, None, scenery_for_copy)
     assert got.tobytes() == expect.tobytes()
 
 

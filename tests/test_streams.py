@@ -404,10 +404,6 @@ _BAD_DRIVER_INPUTS = {
         lambda jobs: stable_motion_samples(MODEL, 2, [1.0, 0.5], 16, 16, 40, 0, jobs=jobs),
         "times must be nonnegative and strictly increasing, got [1.0, 0.5]",
     ),
-    "schema-convention": (
-        lambda jobs: schema_samples(MODEL, 32, 2, [1.0], 40, 0, jobs=jobs, convention="round"),
-        "unknown site convention 'round'",
-    ),
     "schema-pareto": (
         lambda jobs: schema_samples(
             ModelParams(hurst=0.5, beta=2.0), 32, 2, [1.0], 40, 0, jobs=jobs, kind=SceneryKind.SYMMETRIC_PARETO
@@ -416,15 +412,6 @@ _BAD_DRIVER_INPUTS = {
     ),
     "walk-n": (lambda jobs: walk_variance(0, 0.7, 40, 0, jobs=jobs), "n must be at least 1, got 0"),
     "walk-hurst": (lambda jobs: walk_variance(64, 1.5, 40, 0, jobs=jobs), "hurst must lie in (0, 1), got 1.5"),
-    "scaling-convention": (
-        lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=GRID, median_grid=GRID,
-                                        convention="round"),
-        "unknown site convention 'round'",
-    ),
-    "functional-convention": (
-        lambda jobs: functional_experiment(MODEL, 32, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs, convention="round"),
-        "unknown site convention 'round'",
-    ),
     "functional-n-zero": (
         lambda jobs: functional_experiment(MODEL, 0, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs),
         "n must be at least 1, got 0",
