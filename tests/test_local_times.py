@@ -41,6 +41,13 @@ def test_site_of_ceiling_examples():
     np.testing.assert_array_equal(site_of([0.0, 0.3, -0.3, 1.0, -1.7]), [0, 1, 0, 1, -1])
 
 
+def test_site_of_is_the_ceiling_on_random_points():
+    # each position lies in (site - 1, site], the site the paper's reward is collected at
+    x = 40.0 * spawn_rng(31).standard_normal(1000)
+    sites = site_of(x)
+    assert np.all((sites - 1 < x) & (x <= sites))
+
+
 def test_site_of_returns_integer_dtype():
     assert site_of([0.2]).dtype == np.int64
 

@@ -327,14 +327,17 @@ def _per_copy_schema(config, model, seed, kind, scenery_for_copy=None, series=_c
 
 
 @pytest.mark.parametrize("copies", [1, 3, 32])
+@pytest.mark.parametrize(
+    "times", [(0.0, 0.3, 0.33, 1.0), (0.05, 0.5, 0.61)], ids=["to-one", "before-one"]
+)
 @pytest.mark.parametrize("kind", list(SceneryKind))
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
-def test_schema_matches_per_copy_composition_bytes(hurst, kind, copies):
+def test_schema_matches_per_copy_composition_bytes(hurst, kind, times, copies):
     # all copies share one reward pass; it must reproduce the copy-at-a-time
-    # composition byte for byte, at lattice times (0, 0.3 and 1) and between
-    # them (n t = 52.8)
+    # composition byte for byte, at lattice times (n t = 0, 8, 48, 80 and 160)
+    # and between them (n t = 52.8, and 97.6, where the walks stop short of n)
     model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
-    config = SchemaConfig(n=160, copies=copies, times=(0.0, 0.3, 0.33, 1.0))
+    config = SchemaConfig(n=160, copies=copies, times=times)
     seed = 85 + copies
     got = sample_reward_schema(config, model, seed, kind=kind)
     expect = _per_copy_schema(config, model, seed, kind)
@@ -353,13 +356,16 @@ def test_schema_blocks_do_not_change_bytes(monkeypatch):
         assert blocked.tobytes() == whole.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize(
+    "times", [(0.0, 0.3, 0.7717, 1.0), (0.3, 1.0, 1.4517)], ids=["to-one", "past-one"]
+)
 @pytest.mark.parametrize("kind", list(SceneryKind))
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
-def test_schema_matches_per_step_reward_series_composition(hurst, kind):
+def test_schema_matches_per_step_reward_series_composition(hurst, kind, times):
     # the counts sum the rewards site by site, reward_series step by step:
-    # equal up to rounding
+    # equal up to rounding, also where the walks run past n
     model = ModelParams(hurst=hurst, beta=1.5, sigma=0.9)
-    config = SchemaConfig(n=300, copies=9, times=(0.0, 0.3, 0.7717, 1.0))
+    config = SchemaConfig(n=300, copies=9, times=times)
     got = sample_reward_schema(config, model, 90, kind=kind)
     expect = _per_copy_schema(config, model, 90, kind, series=_per_step_series)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))

@@ -404,6 +404,10 @@ _BAD_DRIVER_INPUTS = {
         lambda jobs: stable_motion_samples(MODEL, 2, [1.0, 0.5], 16, 16, 40, 0, jobs=jobs),
         "times must be nonnegative and strictly increasing, got [1.0, 0.5]",
     ),
+    "schema-n": (
+        lambda jobs: schema_samples(MODEL, 0, 2, [1.0], 40, 0, jobs=jobs),
+        "n must be at least 1, got 0",
+    ),
     "schema-pareto": (
         lambda jobs: schema_samples(
             ModelParams(hurst=0.5, beta=2.0), 32, 2, [1.0], 40, 0, jobs=jobs, kind=SceneryKind.SYMMETRIC_PARETO
@@ -412,6 +416,10 @@ _BAD_DRIVER_INPUTS = {
     ),
     "walk-n": (lambda jobs: walk_variance(0, 0.7, 40, 0, jobs=jobs), "n must be at least 1, got 0"),
     "walk-hurst": (lambda jobs: walk_variance(64, 1.5, 40, 0, jobs=jobs), "hurst must lie in (0, 1), got 1.5"),
+    "functional-times": (
+        lambda jobs: functional_experiment(MODEL, 32, [1.0], [1.0, 0.5], 64, 16, 40, 0, jobs=jobs),
+        "times must be nonnegative and strictly increasing, got [1.0, 0.5]",
+    ),
     "functional-n-zero": (
         lambda jobs: functional_experiment(MODEL, 0, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs),
         "n must be at least 1, got 0",
@@ -419,6 +427,10 @@ _BAD_DRIVER_INPUTS = {
     "functional-n-negative": (
         lambda jobs: functional_experiment(MODEL, -3, [1.0], [1.0], 64, 16, 40, 0, jobs=jobs),
         "n must be at least 1, got -3",
+    ),
+    "scaling-replicates": (
+        lambda jobs: scaling_experiment(0.7, 1.5, 1, 0, jobs=jobs, slope_grid=GRID, median_grid=GRID),
+        "replicates must be at least 2, got 1",
     ),
     "scaling-zero-horizon": (
         lambda jobs: scaling_experiment(0.7, 1.5, 40, 0, jobs=jobs, slope_grid=(0, 16, 32), median_grid=GRID),
